@@ -29,25 +29,31 @@ namespace {
 using clock_type = std::chrono::steady_clock;
 
 struct Measurement {
-  double rps = 0;
+  double rps = 0;  // ok replies per second
   double p50_ms = 0;
   double p95_ms = 0;
+  size_t failures = 0;  // non-ok replies and transport failures
 };
 
 // Drive the full matrix `rounds` times over `connections` parallel
-// clients against the coordinator, collecting per-request latencies.
+// clients against the coordinator, collecting the latencies of ok replies.
+// A non-ok reply counts as a failure; a transport failure counts too and
+// ends that client's share of the run.
 Measurement drive(int port, int connections, int rounds) {
   auto jobs = service::suite_matrix();
   std::vector<double> latencies;
   std::mutex lat_mu;
-  std::atomic<size_t> next{0};
+  std::atomic<size_t> next{0}, failures{0};
   size_t total = jobs.size() * static_cast<size_t>(rounds);
 
   auto t_start = clock_type::now();
   auto lane = [&]() {
     net::Client client;
     std::string err;
-    if (!client.connect(port, &err, 120'000)) return;
+    if (!client.connect(port, &err, 120'000)) {
+      ++failures;
+      return;
+    }
     std::vector<double> mine;
     while (true) {
       size_t i = next.fetch_add(1);
@@ -61,7 +67,14 @@ Measurement drive(int port, int connections, int rounds) {
       req.options = job.opts;
       net::Response resp;
       auto t0 = clock_type::now();
-      if (!client.call(std::move(req), &resp, &err)) break;
+      if (!client.call(std::move(req), &resp, &err)) {
+        ++failures;
+        break;
+      }
+      if (resp.status != net::Status::Ok) {
+        ++failures;
+        continue;
+      }
       mine.push_back(
           std::chrono::duration<double, std::milli>(clock_type::now() - t0)
               .count());
@@ -81,6 +94,9 @@ Measurement drive(int port, int connections, int rounds) {
   m.rps = wall_s > 0 ? static_cast<double>(latencies.size()) / wall_s : 0;
   m.p50_ms = bench::percentile(latencies, 0.50);
   m.p95_ms = bench::percentile(latencies, 0.95);
+  m.failures = failures.load();
+  if (m.failures)
+    std::fprintf(stderr, "bench_dist: %zu failed requests\n", m.failures);
   return m;
 }
 
@@ -114,9 +130,10 @@ void print_dist_json() {
         "    {\"workers\": %d, \"connections\": %d, "
         "\"cold_rps\": %.1f, \"cold_p50_ms\": %.3f, \"cold_p95_ms\": %.3f, "
         "\"warm_rps\": %.1f, \"warm_p50_ms\": %.3f, \"warm_p95_ms\": %.3f, "
+        "\"cold_failures\": %zu, \"warm_failures\": %zu, "
         "\"forwarded\": %llu, \"failovers\": %llu}%s\n",
         workers, connections, cold.rps, cold.p50_ms, cold.p95_ms, warm.rps,
-        warm.p50_ms, warm.p95_ms,
+        warm.p50_ms, warm.p95_ms, cold.failures, warm.failures,
         static_cast<unsigned long long>(fs.forwarded),
         static_cast<unsigned long long>(fs.failovers),
         s + 1 < sizes.size() ? "," : "");

@@ -79,10 +79,14 @@ struct BenchServer {
   }
 };
 
+// Only ok replies enter rps and the latency sample. A non-ok reply counts
+// as a failure; a transport failure counts every request it lost and ends
+// the run, since the connection is gone.
 struct Measurement {
-  double rps = 0;     // items (files) per second
+  double rps = 0;     // ok items (files) per second
   double p50_ms = 0;  // per round trip (per frame in batch mode)
   double p95_ms = 0;
+  size_t failures = 0;  // failed items
 };
 
 net::Request to_request(const service::CompileJob& job) {
@@ -106,12 +110,15 @@ bool connect_with_codec(net::Client* client, int port, bool binary) {
 }
 
 Measurement finish(std::vector<double> latencies, size_t items,
-                   double wall_s) {
+                   size_t failures, double wall_s) {
   Measurement m;
   std::sort(latencies.begin(), latencies.end());
   m.rps = wall_s > 0 ? static_cast<double>(items) / wall_s : 0;
   m.p50_ms = bench::percentile(latencies, 0.50);
   m.p95_ms = bench::percentile(latencies, 0.95);
+  m.failures = failures;
+  if (failures)
+    std::fprintf(stderr, "bench_net: %zu failed requests\n", failures);
   return m;
 }
 
@@ -121,15 +128,21 @@ Measurement drive_sequential(int port, bool binary, int rounds) {
   net::Client client;
   if (!connect_with_codec(&client, port, binary)) return {};
   std::vector<double> latencies;
+  size_t failures = 0;
   std::string err;
   auto t_start = clock_type::now();
-  for (int r = 0; r < rounds; ++r) {
+  for (int r = 0; r < rounds && !failures; ++r) {
     for (const auto& job : jobs) {
       net::Response resp;
       auto t0 = clock_type::now();
       if (!client.call(to_request(job), &resp, &err)) {
         std::fprintf(stderr, "bench_net: call failed: %s\n", err.c_str());
-        return {};
+        ++failures;
+        break;
+      }
+      if (resp.status != net::Status::Ok) {
+        ++failures;
+        continue;
       }
       latencies.push_back(
           std::chrono::duration<double, std::milli>(clock_type::now() - t0)
@@ -139,7 +152,7 @@ Measurement drive_sequential(int port, bool binary, int rounds) {
   double wall_s =
       std::chrono::duration<double>(clock_type::now() - t_start).count();
   size_t items = latencies.size();
-  return finish(std::move(latencies), items, wall_s);
+  return finish(std::move(latencies), items, failures, wall_s);
 }
 
 // One connection, `depth` requests in flight, responses re-associated by
@@ -152,7 +165,7 @@ Measurement drive_pipelined(int port, bool binary, int rounds, int depth) {
   std::vector<double> latencies;
   std::unordered_map<int64_t, clock_type::time_point> inflight;
   std::string err;
-  size_t submitted = 0, done = 0;
+  size_t submitted = 0, done = 0, failures = 0;
   auto t_start = clock_type::now();
   while (done < total) {
     while (submitted < total &&
@@ -161,28 +174,34 @@ Measurement drive_pipelined(int port, bool binary, int rounds, int depth) {
       if (!client.submit(to_request(jobs[submitted % jobs.size()]), &id,
                          &err)) {
         std::fprintf(stderr, "bench_net: submit failed: %s\n", err.c_str());
-        return {};
+        break;
       }
       inflight[id] = clock_type::now();
       ++submitted;
     }
     net::Response resp;
-    if (!client.recv_any(&resp, &err)) {
-      std::fprintf(stderr, "bench_net: recv failed: %s\n", err.c_str());
-      return {};
+    if (inflight.empty() || !client.recv_any(&resp, &err)) {
+      if (!inflight.empty())
+        std::fprintf(stderr, "bench_net: recv failed: %s\n", err.c_str());
+      failures += total - done;  // in flight or never sent
+      break;
     }
     auto it = inflight.find(resp.id);
     if (it == inflight.end()) continue;
-    latencies.push_back(
-        std::chrono::duration<double, std::milli>(clock_type::now() -
-                                                  it->second)
-            .count());
+    if (resp.status == net::Status::Ok)
+      latencies.push_back(
+          std::chrono::duration<double, std::milli>(clock_type::now() -
+                                                    it->second)
+              .count());
+    else
+      ++failures;
     inflight.erase(it);
     ++done;
   }
   double wall_s =
       std::chrono::duration<double>(clock_type::now() - t_start).count();
-  return finish(std::move(latencies), total, wall_s);
+  size_t items = latencies.size();
+  return finish(std::move(latencies), items, failures, wall_s);
 }
 
 // compile_batch frames of `per_frame` files; rps still counts files.
@@ -192,9 +211,9 @@ Measurement drive_batch(int port, bool binary, int rounds, size_t per_frame) {
   if (!connect_with_codec(&client, port, binary)) return {};
   std::vector<double> latencies;
   std::string err;
-  size_t items = 0;
+  size_t items = 0, failures = 0;
   auto t_start = clock_type::now();
-  for (int r = 0; r < rounds; ++r) {
+  for (int r = 0; r < rounds && !failures; ++r) {
     for (size_t base = 0; base < jobs.size(); base += per_frame) {
       net::Request req;
       req.type = net::RequestType::CompileBatch;
@@ -209,20 +228,26 @@ Measurement drive_batch(int port, bool binary, int rounds, size_t per_frame) {
       }
       net::Response resp;
       auto t0 = clock_type::now();
-      if (!client.call(std::move(req), &resp, &err) || !resp.has_batch) {
+      if (!client.call(std::move(req), &resp, &err)) {
         std::fprintf(stderr, "bench_net: batch call failed: %s\n",
                      err.c_str());
-        return {};
+        failures += n;
+        break;
       }
-      latencies.push_back(
-          std::chrono::duration<double, std::milli>(clock_type::now() - t0)
-              .count());
-      items += resp.batch.size();
+      size_t ok = 0;
+      if (resp.status == net::Status::Ok && resp.has_batch)
+        for (const auto& item : resp.batch) ok += item.ok ? 1 : 0;
+      failures += n - ok;
+      items += ok;
+      if (ok == n)
+        latencies.push_back(
+            std::chrono::duration<double, std::milli>(clock_type::now() - t0)
+                .count());
     }
   }
   double wall_s =
       std::chrono::duration<double>(clock_type::now() - t_start).count();
-  return finish(std::move(latencies), items, wall_s);
+  return finish(std::move(latencies), items, failures, wall_s);
 }
 
 struct CodecRuns {
@@ -247,13 +272,13 @@ void append_measurement(std::string* out, const char* key,
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "      \"%s\": {\"rps\": %.1f, \"p50_ms\": %.3f, "
-                "\"p95_ms\": %.3f}%s\n",
-                key, m.rps, m.p50_ms, m.p95_ms, last ? "" : ",");
+                "\"p95_ms\": %.3f, \"failures\": %zu}%s\n",
+                key, m.rps, m.p50_ms, m.p95_ms, m.failures, last ? "" : ",");
   *out += buf;
 }
 
-// Returns true when the smoke gate holds: the v4 binary serving path's
-// warm rps beats the JSON baseline's.
+// Returns true when the smoke gate holds: no request failed, and the v4
+// binary serving path's warm rps beats the JSON baseline's.
 bool run_headline(int warm_rounds, bool write_file) {
   bench::header("NET THROUGHPUT: JSON VS BINARY CODEC (BENCH_net.json)");
 
@@ -264,6 +289,11 @@ bool run_headline(int warm_rounds, bool write_file) {
   double v4_path = bin.pipelined.rps;
   double multiple = baseline > 0 ? v4_path / baseline : 0;
   bool beats = v4_path > baseline;
+  size_t failures = 0;
+  for (const CodecRuns* r : {&json, &bin})
+    for (const Measurement* m : {&r->cold, &r->sequential, &r->pipelined,
+                                 &r->batch})
+      failures += m->failures;
 
   std::string out;
   out += "{\n  \"bench\": \"net_throughput\",\n";
@@ -288,9 +318,9 @@ bool run_headline(int warm_rounds, bool write_file) {
                 "  \"gate\": {\"json_warm_rps\": %.1f, "
                 "\"binary_pipelined_warm_rps\": %.1f, "
                 "\"multiple\": %.2f, \"binary_beats_json\": %s, "
-                "\"target_5x_met\": %s}\n}\n",
+                "\"target_5x_met\": %s, \"failures\": %zu}\n}\n",
                 baseline, v4_path, multiple, beats ? "true" : "false",
-                multiple >= 5.0 ? "true" : "false");
+                multiple >= 5.0 ? "true" : "false", failures);
   out += buf;
 
   std::fputs(out.c_str(), stdout);
@@ -305,10 +335,10 @@ bool run_headline(int warm_rounds, bool write_file) {
   }
   std::fprintf(stderr,
                "bench_net: v4 binary pipelined %.1f rps vs json baseline "
-               "%.1f rps (%.2fx, target 5x %s)\n",
+               "%.1f rps (%.2fx, target 5x %s), %zu failed requests\n",
                v4_path, baseline, multiple,
-               multiple >= 5.0 ? "met" : "not met");
-  return beats;
+               multiple >= 5.0 ? "met" : "not met", failures);
+  return beats && failures == 0;
 }
 
 void BM_RoundTripWarmJson(benchmark::State& state) {

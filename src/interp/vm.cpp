@@ -3,8 +3,8 @@
 // counters, OMP privatization rules) mirrors it exactly.
 #include "interp/vm.h"
 
+#include <algorithm>
 #include <atomic>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -56,6 +56,22 @@ struct VmFrame {
   std::vector<double> cells;  // backing storage, one cell per scalar slot
 };
 
+// One ParDo lane's state, kept on the Executor and reused by every region,
+// so a region allocates nothing once the vectors have grown. `ctx` and
+// `shadow` are refreshed from the encountering thread's per region; the
+// rest is what the lane harvests for copy-out and the reduction combine.
+// Cache-line aligned: `ctx` is written on every instruction, so two lanes
+// must not share a line.
+struct alignas(64) Lane {
+  VmCtx ctx;
+  VmFrame shadow;
+  std::vector<double> cells;  // private scalars, reductions, loop variable
+  std::vector<RtVal> regs;
+  std::vector<double> scalar_values;                // per plan.privates
+  std::vector<std::shared_ptr<ArrayStore>> arrays;  // per plan.privates
+  std::vector<double> reductions;                   // per plan.reductions
+};
+
 double red_identity(RedOp op) {
   switch (op) {
     case RedOp::Prod: return 1.0;
@@ -74,8 +90,10 @@ class Executor {
  public:
   Executor(const Module& m, const InterpOptions& opts, GlobalStore& globals)
       : m_(m), opts_(opts), globals_(globals) {
-    if (opts_.num_threads > 1 && opts_.enable_parallel)
+    if (opts_.num_threads > 1 && opts_.enable_parallel) {
       pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
+      lanes_.resize(static_cast<size_t>(pool_->size()));
+    }
   }
 
   RunResult run(double compile_ms) {
@@ -117,6 +135,7 @@ class Executor {
   InterpOptions opts_;
   GlobalStore& globals_;
   std::unique_ptr<ThreadPool> pool_;
+  std::vector<Lane> lanes_;  // indexed by chunk; see run_pardo
   std::mutex output_mu_;
   std::string output_;
   std::atomic<uint64_t> parallel_steps_{0};
@@ -257,75 +276,70 @@ class Executor {
 
   void run_pardo(const CompiledUnit& cu, VmFrame& f, VmCtx& ctx,
                  const ParDoPlan& plan, int64_t lo, int64_t hi) {
-    int nthreads = pool_->size();
-    // Per-thread private storage, for copy-out by the last-chunk thread.
-    // Vectors stay empty for threads that never ran (like the tree-walker's
-    // empty PrivateSet maps).
-    struct Priv {
-      std::vector<double> scalar_values;                  // per plan.privates
-      std::vector<std::shared_ptr<ArrayStore>> arrays;    // per plan.privates
-      std::vector<double> reductions;                     // per plan.reductions
-    };
-    std::vector<Priv> privs(static_cast<size_t>(nthreads));
-    int last_chunk_thread = -1;
-    std::mutex red_mu;
+    // One chunk per lane, contiguous and in order (ThreadPool::parallel_for),
+    // so lanes [0, nchunks) run and the last one runs the last iteration.
+    const size_t nchunks =
+        static_cast<size_t>(std::min<int64_t>(pool_->size(), hi - lo + 1));
+    const size_t np = plan.privates.size(), nr = plan.reductions.size();
 
     pool_->parallel_for(lo, hi, [&](int64_t clo, int64_t chi, int tid) {
-      Priv& mine = privs[static_cast<size_t>(tid)];
+      Lane& L = lanes_[static_cast<size_t>(tid)];
       // Thread-local context: copy overrides, set nesting flag, share the
       // step budget approximately (each thread gets the full remainder; the
       // guard is about runaway loops, not precise accounting).
-      VmCtx tctx;
+      VmCtx& tctx = L.ctx;
       tctx.in_parallel = true;
       tctx.steps_left = ctx.steps_left;
+      tctx.insns = 0;
       tctx.scalar_ov = ctx.scalar_ov;
       tctx.array_ov = ctx.array_ov;
       tctx.par_body = plan.body_start;
 
-      // Shadow frame: shared cell pointers plus private replacements. The
-      // deque gives the private cells stable addresses.
-      VmFrame shadow;
+      // Shadow frame: shared cell pointers plus private replacements in
+      // L.cells, sized once up front so the pointers stay valid.
+      VmFrame& shadow = L.shadow;
       shadow.cu = f.cu;
       shadow.scalar = f.scalar;
       shadow.scalar_int = f.scalar_int;
       shadow.arrays = f.arrays;
-      std::deque<double> priv_cells;
+      L.cells.resize(np + nr + 1);
+      double* cell = L.cells.data();
+      L.arrays.resize(np);
 
-      mine.arrays.assign(plan.privates.size(), nullptr);
-      mine.scalar_values.assign(plan.privates.size(), 0.0);
-
-      for (const PrivateSpec& p : plan.privates) {
+      for (size_t pi = 0; pi < np; ++pi) {
+        const PrivateSpec& p = plan.privates[pi];
         if (p.is_array) {
           ArrayRec& rec = shadow.arrays[static_cast<size_t>(p.slot)];
-          auto priv_store = std::make_shared<ArrayStore>(*rec.store);
+          std::shared_ptr<ArrayStore>& priv_store = L.arrays[pi];
+          if (priv_store)
+            *priv_store = *rec.store;
+          else
+            priv_store = std::make_shared<ArrayStore>(*rec.store);
           rec.store = priv_store;
           rec.data = priv_store->data();
           if (p.common_key >= 0)
             tctx.array_ov[static_cast<size_t>(p.common_key)] = priv_store;
-          mine.arrays[static_cast<size_t>(&p - plan.privates.data())] =
-              priv_store;
         } else {
-          priv_cells.push_back(*shadow.scalar[static_cast<size_t>(p.slot)]);
-          shadow.scalar[static_cast<size_t>(p.slot)] = &priv_cells.back();
+          *cell = *shadow.scalar[static_cast<size_t>(p.slot)];
+          shadow.scalar[static_cast<size_t>(p.slot)] = cell;
           if (p.common_key >= 0)
-            tctx.scalar_ov[static_cast<size_t>(p.common_key)] =
-                &priv_cells.back();
+            tctx.scalar_ov[static_cast<size_t>(p.common_key)] = cell;
+          ++cell;
         }
       }
       for (const ReductionSpec& rs : plan.reductions) {
-        priv_cells.push_back(red_identity(rs.op));
-        shadow.scalar[static_cast<size_t>(rs.slot)] = &priv_cells.back();
+        *cell = red_identity(rs.op);
+        shadow.scalar[static_cast<size_t>(rs.slot)] = cell++;
       }
       // Private loop variable.
-      priv_cells.push_back(0.0);
-      double* iv_cell = &priv_cells.back();
+      double* iv_cell = cell;
       shadow.scalar[static_cast<size_t>(plan.iv_slot)] = iv_cell;
       shadow.scalar_int[static_cast<size_t>(plan.iv_slot)] = 1;
 
-      std::vector<RtVal> regs(static_cast<size_t>(cu.num_regs));
+      L.regs.assign(static_cast<size_t>(cu.num_regs), RtVal{});
       for (int64_t i = clo; i <= chi; ++i) {
         *iv_cell = static_cast<double>(i);
-        exec_range(cu, shadow, tctx, regs.data(), cu.code, plan.body_start,
+        exec_range(cu, shadow, tctx, L.regs.data(), cu.code, plan.body_start,
                    plan.body_end);
       }
 
@@ -335,52 +349,45 @@ class Executor {
       parallel_insns_.fetch_add(tctx.insns, std::memory_order_relaxed);
 
       // Harvest private scalar values and reduction partials.
-      for (size_t pi = 0; pi < plan.privates.size(); ++pi)
+      L.scalar_values.resize(np);
+      for (size_t pi = 0; pi < np; ++pi)
         if (!plan.privates[pi].is_array)
-          mine.scalar_values[pi] =
+          L.scalar_values[pi] =
               *shadow.scalar[static_cast<size_t>(plan.privates[pi].slot)];
-      mine.reductions.reserve(plan.reductions.size());
-      for (const ReductionSpec& rs : plan.reductions)
-        mine.reductions.push_back(
-            *shadow.scalar[static_cast<size_t>(rs.slot)]);
-      if (chi == hi) {
-        std::lock_guard<std::mutex> lock(red_mu);
-        last_chunk_thread = tid;
-      }
+      L.reductions.resize(nr);
+      for (size_t ri = 0; ri < nr; ++ri)
+        L.reductions[ri] =
+            *shadow.scalar[static_cast<size_t>(plan.reductions[ri].slot)];
     });
 
     // Last-value copy-out (sequential semantics for live-out privates).
-    if (last_chunk_thread >= 0) {
-      Priv& last = privs[static_cast<size_t>(last_chunk_thread)];
-      for (size_t pi = 0; pi < plan.privates.size(); ++pi) {
-        const PrivateSpec& p = plan.privates[pi];
-        if (!p.is_array) {
-          *f.scalar[static_cast<size_t>(p.slot)] = last.scalar_values[pi];
-          continue;
-        }
-        const auto& store = last.arrays[pi];
-        if (!store) continue;
-        if (p.common_key >= 0) {
-          // Copy back into the shared global store.
-          auto shared = globals_.get_or_create_array(
-              m_.keys[static_cast<size_t>(p.common_key)], store->elem_type(),
-              {}, {});
-          if (shared->size() == store->size()) shared->raw() = store->raw();
-        } else {
-          ArrayRec& rec = f.arrays[static_cast<size_t>(p.slot)];
-          if (rec.store && rec.store->size() == store->size())
-            rec.store->raw() = store->raw();
-        }
+    const Lane& last = lanes_[nchunks - 1];
+    for (size_t pi = 0; pi < np; ++pi) {
+      const PrivateSpec& p = plan.privates[pi];
+      if (!p.is_array) {
+        *f.scalar[static_cast<size_t>(p.slot)] = last.scalar_values[pi];
+        continue;
+      }
+      const ArrayStore& store = *last.arrays[pi];
+      if (p.common_key >= 0) {
+        // Copy back into the shared global store.
+        auto shared = globals_.get_or_create_array(
+            m_.keys[static_cast<size_t>(p.common_key)], store.elem_type(), {},
+            {});
+        if (shared->size() == store.size()) shared->raw() = store.raw();
+      } else {
+        ArrayRec& rec = f.arrays[static_cast<size_t>(p.slot)];
+        if (rec.store && rec.store->size() == store.size())
+          rec.store->raw() = store.raw();
       }
     }
     // Combine reductions deterministically in thread order.
-    for (size_t ri = 0; ri < plan.reductions.size(); ++ri) {
+    for (size_t ri = 0; ri < nr; ++ri) {
       const ReductionSpec& rs = plan.reductions[ri];
       double* cell = f.scalar[static_cast<size_t>(rs.slot)];
       double acc = *cell;
-      for (const Priv& p : privs) {
-        if (p.reductions.size() != plan.reductions.size()) continue;
-        double v = p.reductions[ri];
+      for (size_t t = 0; t < nchunks; ++t) {
+        double v = lanes_[t].reductions[ri];
         switch (rs.op) {
           case RedOp::Prod: acc *= v; break;
           case RedOp::Min: acc = std::min(acc, v); break;

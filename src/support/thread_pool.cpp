@@ -1,159 +1,151 @@
 #include "support/thread_pool.h"
 
+#include <stdexcept>
+#include <utility>
+
 namespace ap {
 
+namespace {
+
+constexpr uint64_t kItemMask = 0xffffffffu;
+
+uint64_t generation(uint64_t word) { return word >> 32; }
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+// Polls `done` for at most kSpinBudget; true once it holds.
+template <class Pred>
+bool spin_until(Pred done) {
+  auto deadline = std::chrono::steady_clock::now() + ThreadPool::kSpinBudget;
+  for (unsigned n = 1;; ++n) {
+    if (done()) return true;
+    cpu_relax();
+    if (n % 64 == 0 && std::chrono::steady_clock::now() > deadline)
+      return false;
+  }
+}
+
+}  // namespace
+
 ThreadPool::ThreadPool(int num_threads) {
-  int extra = num_threads - 1;
-  if (extra < 0) extra = 0;
+  int extra = std::max(0, num_threads - 1);
+  unsigned hw = std::thread::hardware_concurrency();
+  spin_ = hw != 0 && static_cast<unsigned>(extra + 1) <= hw;
   workers_.reserve(static_cast<size_t>(extra));
   for (int i = 0; i < extra; ++i)
-    workers_.emplace_back([this, i] { worker_main(i); });
+    workers_.emplace_back([this] { worker_main(); });
 }
 
 ThreadPool::~ThreadPool() {
+  shutdown_.store(true);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    shutdown_ = true;
+    cv_work_.notify_all();
   }
-  cv_work_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_main(int) {
-  uint64_t seen = 0;
-  for (;;) {
-    Task task;
-    const std::function<void(int64_t, int64_t, int)>* fn = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [&] {
-        return shutdown_ || (generation_ != seen && next_task_ < tasks_.size());
-      });
-      if (shutdown_) return;
-      task = tasks_[next_task_++];
-      if (next_task_ >= tasks_.size()) seen = generation_;
-      fn = fn_;
-    }
-    try {
-      (*fn)(task.lo, task.hi, task.index);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (!error_) error_ = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) cv_done_.notify_all();
-    }
-  }
-}
-
-void ThreadPool::parallel_for(
-    int64_t lo, int64_t hi,
-    const std::function<void(int64_t, int64_t, int)>& fn) {
-  if (hi < lo) return;
-  int nthreads = size();
-  int64_t total = hi - lo + 1;
-  if (nthreads > total) nthreads = static_cast<int>(total);
-
-  // Contiguous chunking; chunk 0 runs on the caller.
-  std::vector<Task> chunks;
-  int64_t base = total / nthreads, rem = total % nthreads;
-  int64_t cur = lo;
-  for (int t = 0; t < nthreads; ++t) {
-    int64_t len = base + (t < rem ? 1 : 0);
-    chunks.push_back(Task{cur, cur + len - 1, t});
-    cur += len;
-  }
-
-  if (nthreads == 1 || workers_.empty()) {
-    for (const auto& c : chunks) fn(c.lo, c.hi, c.index);
-    return;
-  }
-
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    tasks_.assign(chunks.begin() + 1, chunks.end());
-    next_task_ = 0;
-    pending_ = static_cast<int>(tasks_.size());
-    fn_ = &fn;
-    error_ = nullptr;
-    ++generation_;
-  }
-  cv_work_.notify_all();
-
-  std::exception_ptr caller_error;
-  try {
-    fn(chunks[0].lo, chunks[0].hi, 0);
-  } catch (...) {
-    caller_error = std::current_exception();
-  }
-
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return pending_ == 0; });
-    fn_ = nullptr;
-    if (!caller_error && error_) caller_error = error_;
-  }
-  if (caller_error) std::rethrow_exception(caller_error);
-}
-
-void ThreadPool::for_each_index(
-    int64_t count, const std::function<void(int64_t, int)>& fn) {
+void ThreadPool::run(int64_t count, const void* ctx, Invoke invoke) {
   if (count <= 0) return;
-
-  if (workers_.empty()) {
-    for (int64_t i = 0; i < count; ++i) fn(i, 0);
+  if (count == 1 || workers_.empty()) {
+    for (int64_t i = 0; i < count; ++i) invoke(ctx, i);
     return;
   }
+  if (static_cast<uint64_t>(count) > kItemMask)
+    throw std::length_error("ThreadPool: too many items in one job");
 
-  // Every index is its own task; the worker trampoline passes (lo, hi,
-  // index) so reuse lo as the task index and index as the lane ordinal.
-  auto trampoline = [&fn](int64_t lo, int64_t, int index) { fn(lo, index); };
-  const std::function<void(int64_t, int64_t, int)> tramp_fn = trampoline;
-
-  std::vector<Task> all;
-  all.reserve(static_cast<size_t>(count));
-  for (int64_t i = 0; i < count; ++i)
-    all.push_back(Task{i, i, static_cast<int>(i)});
-
-  {
+  // The previous job has no unclaimed item left, so no lane can claim
+  // anything until the word below publishes these.
+  invoke_.store(invoke, std::memory_order_relaxed);
+  ctx_.store(ctx, std::memory_order_relaxed);
+  pending_.store(count, std::memory_order_relaxed);
+  uint64_t gen = generation(word_.load(std::memory_order_relaxed)) + 1;
+  // Item 0 is the caller's; items 1..count-1 are left to claim.
+  word_.store(gen << 32 | static_cast<uint64_t>(count - 1));
+  if (sleepers_.load() > 0) {
     std::lock_guard<std::mutex> lock(mu_);
-    tasks_ = std::move(all);
-    next_task_ = 0;
-    pending_ = static_cast<int>(count);
-    fn_ = &tramp_fn;
-    error_ = nullptr;
-    ++generation_;
+    cv_work_.notify_all();
   }
-  cv_work_.notify_all();
 
-  // The caller pulls from the same queue alongside the workers.
-  std::exception_ptr caller_error;
+  run_item(invoke, ctx, 0);
+  claim_items(gen);
+  await_done();
+  std::exception_ptr error = std::exchange(error_, nullptr);
+  if (error) std::rethrow_exception(error);
+}
+
+void ThreadPool::worker_main() {
+  for (uint64_t seen = 0; await_job(seen);) {
+    seen = generation(word_.load(std::memory_order_acquire));
+    claim_items(seen);
+  }
+}
+
+// The word's low half is the highest unclaimed item, so it also counts
+// the items left, and claiming decrements it: whether anything is left is
+// decided by the word alone. The job's fields are read before the CAS; its
+// success proves they were this job's, since a job with an unclaimed item
+// cannot finish, and the next job's fields are written only after this
+// one finished.
+void ThreadPool::claim_items(uint64_t gen) {
+  uint64_t w = word_.load(std::memory_order_acquire);
   for (;;) {
-    Task task;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (next_task_ >= tasks_.size()) break;
-      task = tasks_[next_task_++];
-    }
-    try {
-      tramp_fn(task.lo, task.hi, task.index);
-    } catch (...) {
-      if (!caller_error) caller_error = std::current_exception();
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) cv_done_.notify_all();
+    if (generation(w) != gen || (w & kItemMask) == 0) return;
+    int64_t item = static_cast<int64_t>(w & kItemMask);
+    Invoke invoke = invoke_.load(std::memory_order_relaxed);
+    const void* ctx = ctx_.load(std::memory_order_relaxed);
+    if (word_.compare_exchange_weak(w, w - 1, std::memory_order_acq_rel,
+                                    std::memory_order_acquire)) {
+      run_item(invoke, ctx, item);
+      w = word_.load(std::memory_order_acquire);
     }
   }
+}
 
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [&] { return pending_ == 0; });
-    fn_ = nullptr;
-    if (!caller_error && error_) caller_error = error_;
+void ThreadPool::run_item(Invoke invoke, const void* ctx, int64_t item) {
+  try {
+    invoke(ctx, item);
+  } catch (...) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!error_) error_ = std::current_exception();
   }
-  if (caller_error) std::rethrow_exception(caller_error);
+  if (pending_.fetch_sub(1) == 1 && caller_parked_.load()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    cv_done_.notify_one();
+  }
+}
+
+// The parking handshakes below pair a sequentially consistent store on one
+// side with a load on the other (sleepers_ against word_, caller_parked_
+// against pending_), so either the waiter sees the news or the notifier
+// sees the waiter; the notifier then takes the mutex, which the waiter
+// holds until it is inside wait().
+bool ThreadPool::await_job(uint64_t seen) {
+  auto ready = [&] {
+    return shutdown_.load() || generation(word_.load()) != seen;
+  };
+  if (!spin_ || !spin_until(ready)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    sleepers_.fetch_add(1);
+    cv_work_.wait(lock, ready);
+    sleepers_.fetch_sub(1);
+  }
+  return !shutdown_.load();
+}
+
+void ThreadPool::await_done() {
+  auto done = [&] { return pending_.load() == 0; };
+  if (spin_ && spin_until(done)) return;
+  std::unique_lock<std::mutex> lock(mu_);
+  caller_parked_.store(true);
+  cv_done_.wait(lock, done);
+  caller_parked_.store(false);
 }
 
 }  // namespace ap

@@ -1,69 +1,129 @@
 // Shared worker pool used by both the interpreter (work-sharing execution
 // of `!$OMP PARALLEL DO` regions) and the compilation service (concurrent
-// pipeline jobs). Workers park on a condition variable between batches so
-// per-batch overhead stays in the microsecond range.
+// pipeline jobs).
 //
-// Two entry points over the same worker loop:
+// Handoff. A job is `count` items. The caller publishes it by storing one
+// atomic word that packs a generation (high 32 bits) and the number of
+// items left to claim (low 32 bits); workers and the caller claim with a
+// CAS on that word, so a worker that is late for one job can never claim
+// an item of the next. The caller runs item 0 itself, helps claim the
+// rest, and then waits for an atomic pending count to reach zero. Nothing
+// is allocated per call.
 //
-//   parallel_for   — split [lo, hi] into one contiguous chunk per thread;
-//                    chunk 0 always runs on the calling thread (the
-//                    interpreter relies on this for thread-index-stable
-//                    reduction slots).
+// Spin, then park. Between jobs a worker spins on the word for a bounded
+// budget (kSpinBudget) and then parks on a condition variable; a publisher
+// takes the mutex only when somebody is parked. Spinning is on only when
+// the pool's lanes fit in std::thread::hardware_concurrency(); otherwise
+// (a 1-core host, say) workers and a waiting caller park at once, so a
+// spinner never steals the core of the thread it waits for.
+//
+// Measured on a 4-core x86-64 VM: an empty 12-iteration parallel_for at
+// 4 lanes costs ~1.7 µs per region while the workers spin, against ~14 µs
+// for the mutex/condition-variable handoff per region this replaced.
+//
+// Two entry points over the same handoff:
+//
+//   parallel_for   — split [lo, hi] into one contiguous chunk per lane;
+//                    chunk k covers the k-th range and chunk 0 always runs
+//                    on the calling thread, so the interpreter can index
+//                    per-lane state (reduction partials, the last chunk's
+//                    privates) by chunk.
 //   for_each_index — run `count` independent tasks, one index per task,
 //                    pulled dynamically by workers AND the caller; right
 //                    for jobs of uneven size (compilation units).
+//
+// One caller at a time: a pool is not reentrant, and a task must not
+// submit work to the pool it runs on.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace ap {
 
 class ThreadPool {
  public:
+  // How long an idle lane polls before it parks: long enough to span the
+  // serial code between back-to-back parallel regions, short enough that
+  // an idle pool costs nothing measurable.
+  static constexpr std::chrono::microseconds kSpinBudget{50};
+
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 
   // Total execution lanes, including the calling thread.
   int size() const { return static_cast<int>(workers_.size()) + 1; }
 
-  // Split [lo, hi] (inclusive, step 1) into one contiguous chunk per
-  // thread and run `fn(chunk_lo, chunk_hi, thread_index)` on each; the
+  // Split [lo, hi] (inclusive, step 1) into min(size(), hi-lo+1) contiguous
+  // chunks and run `fn(chunk_lo, chunk_hi, chunk_index)` on each; the
   // calling thread executes chunk 0. Blocks until every chunk finishes.
   // Exceptions thrown by `fn` are rethrown on the caller (first one wins).
-  void parallel_for(int64_t lo, int64_t hi,
-                    const std::function<void(int64_t, int64_t, int)>& fn);
+  template <class Fn>
+  void parallel_for(int64_t lo, int64_t hi, Fn&& fn) {
+    if (hi < lo) return;
+    const int64_t total = hi - lo + 1;
+    const int64_t n = std::min<int64_t>(size(), total);
+    const int64_t base = total / n, rem = total % n;
+    for_each_index(n, [&](int64_t k, int) {
+      int64_t start = lo + k * base + std::min(k, rem);
+      fn(start, start + base - (k < rem ? 0 : 1), static_cast<int>(k));
+    });
+  }
 
   // Run `fn(index, lane)` for every index in [0, count), dynamically load
   // balanced: workers and the calling thread pull one index at a time, so
   // slow tasks don't serialize behind a static partition. `lane` is a
   // dense task ordinal, NOT a stable thread id. Blocks until all tasks
   // finish; first exception is rethrown on the caller.
-  void for_each_index(int64_t count,
-                      const std::function<void(int64_t, int)>& fn);
+  template <class Fn>
+  void for_each_index(int64_t count, Fn&& fn) {
+    using F = std::remove_reference_t<Fn>;
+    run(count, &fn, [](const void* ctx, int64_t i) {
+      (*static_cast<const F*>(ctx))(i, static_cast<int>(i));
+    });
+  }
 
  private:
-  struct Task {
-    int64_t lo, hi;
-    int index;
-  };
+  using Invoke = void (*)(const void* ctx, int64_t item);
 
-  void worker_main(int worker_index);
+  // Runs items [0, count) of `invoke(ctx, item)`: item 0 on the caller,
+  // the rest claimed by whichever lane gets there first.
+  void run(int64_t count, const void* ctx, Invoke invoke);
+  void worker_main();
+  // Claims and runs items of generation `gen` until none is left.
+  void claim_items(uint64_t gen);
+  void run_item(Invoke invoke, const void* ctx, int64_t item);
+  // Blocks until the word's generation differs from `seen`; false on
+  // shutdown.
+  bool await_job(uint64_t seen);
+  void await_done();
 
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
+  bool spin_ = false;
+
+  // The published job. Read by workers before they claim, so a late
+  // reader may see the next job's values; a successful claim proves it
+  // read this job's.
+  std::atomic<uint64_t> word_{0};  // generation << 32 | unclaimed items
+  std::atomic<Invoke> invoke_{nullptr};
+  std::atomic<const void*> ctx_{nullptr};
+  std::atomic<int64_t> pending_{0};  // items not yet finished
+
+  std::mutex mu_;  // parking and error_
   std::condition_variable cv_work_, cv_done_;
-  const std::function<void(int64_t, int64_t, int)>* fn_ = nullptr;
-  std::vector<Task> tasks_;      // tasks for workers (caller may also pull)
-  size_t next_task_ = 0;
-  int pending_ = 0;
-  uint64_t generation_ = 0;
-  bool shutdown_ = false;
+  std::atomic<int> sleepers_{0};
+  std::atomic<bool> caller_parked_{false};
+  std::atomic<bool> shutdown_{false};
   std::exception_ptr error_;
+
+  std::vector<std::thread> workers_;  // last: they use everything above
 };
 
 }  // namespace ap

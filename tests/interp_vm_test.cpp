@@ -353,5 +353,69 @@ TEST(VmParallel, SingleThreadPoolStillChunksIdentically) {
   EXPECT_TRUE(b.ok) << b.error;
 }
 
+TEST(VmParallel, LaneStateDoesNotLeakBetweenRegions) {
+  // Two different PARALLEL DOs alternate 2000 times inside a serial loop,
+  // so the VM's reused per-lane state serves thousands of regions of two
+  // shapes. The first privatizes scalars and arrays, COMMON ones included,
+  // and a CALL in its body reaches the private COMMON copies through the
+  // overrides. The second has a REDUCTION and a private scalar at the
+  // first private's slot position, and its CALL must see the SHARED
+  // COMMON values again. Any stale cell, override, array copy or partial
+  // from the previous region would make the engines disagree.
+  auto p = parse_ok(R"(
+      PROGRAM T
+      COMMON /C/ A(5), B(4), W(3), S, Q
+      REAL V(3)
+      S = 0.0
+      DO K = 1, 2000
+        DO I = 1, 5
+          T = I + K * 0.5
+          Q = T * 2.0
+          V(1) = T
+          V(2) = T + 1.0
+          V(3) = Q
+          W(1) = V(1) + V(3)
+          W(2) = W(1) * 0.5
+          W(3) = V(2)
+          CALL UPD(I)
+          A(I) = W(1) + W(2) + W(3) + V(2) + Q
+        ENDDO
+        R = 0.0
+        DO J = 1, 4
+          X = A(J) + J
+          CALL ADDW(J, X)
+          R = R + B(J) * 0.25 + A(J + 1)
+        ENDDO
+        S = S + R * 1.0E-3 + T + Q + W(2) + V(1)
+      ENDDO
+      WRITE(*,*) S, T, Q, R, X, W(1), W(2), W(3), V(1), V(2), V(3)
+      END
+      SUBROUTINE UPD(I)
+      COMMON /C/ A(5), B(4), W(3), S, Q
+      W(3) = W(3) + I * Q
+      Q = Q + 1.0
+      END
+      SUBROUTINE ADDW(J, X)
+      COMMON /C/ A(5), B(4), W(3), S, Q
+      B(J) = X + W(3) + Q
+      END
+)");
+  fir::ProgramUnit& main = *p->units[0];
+  fir::Stmt* priv = test::find_loop(main, "I");
+  fir::Stmt* red = test::find_loop(main, "J");
+  ASSERT_NE(priv, nullptr);
+  ASSERT_NE(red, nullptr);
+  priv->omp.parallel = true;
+  priv->omp.privates = {"T", "Q", "V", "W"};
+  red->omp.parallel = true;
+  red->omp.privates = {"X"};
+  red->omp.reductions.push_back({"+", "R"});
+
+  RunResult b = run_both(*p, 4, 2'000'000'000, fir::unparse(*p));
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_GT(b.statements_in_parallel, 0u);
+  EXPECT_LT(b.statements_in_parallel, b.statements_executed);
+}
+
 }  // namespace
 }  // namespace ap::interp

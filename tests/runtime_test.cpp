@@ -2,8 +2,11 @@
 // GlobalStore, and the work-sharing ThreadPool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "interp/storage.h"
 #include "support/thread_pool.h"
@@ -82,7 +85,7 @@ TEST(GlobalStore, ScalarCellsStableAndTyped) {
 
 TEST(ThreadPool, CoversEveryIterationExactlyOnce) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
+  std::vector<std::atomic<int>> hits(1001);
   pool.parallel_for(1, 1000, [&](int64_t lo, int64_t hi, int) {
     for (int64_t i = lo; i <= hi; ++i) hits[static_cast<size_t>(i)]++;
   });
@@ -161,6 +164,111 @@ TEST(ThreadPool, CallerExceptionStillJoinsWorkers) {
   std::atomic<int> ok{0};
   pool.parallel_for(1, 8, [&](int64_t, int64_t, int) { ok++; });
   EXPECT_GT(ok.load(), 0);
+}
+
+TEST(ThreadPool, ChunkIndexFollowsIterationOrder) {
+  // The VM's copy-out reads the last chunk's lane: chunk k must cover the
+  // k-th contiguous range, and the last index must end at hi.
+  ThreadPool pool(4);
+  for (int64_t n : {2, 3, 4, 5, 12, 30}) {
+    std::vector<std::pair<int64_t, int64_t>> chunks(4, {-1, -1});
+    pool.parallel_for(1, n, [&](int64_t lo, int64_t hi, int idx) {
+      chunks[static_cast<size_t>(idx)] = {lo, hi};
+    });
+    int64_t used = std::min<int64_t>(4, n), expect = 1;
+    for (int64_t k = 0; k < used; ++k) {
+      EXPECT_EQ(chunks[static_cast<size_t>(k)].first, expect) << n;
+      expect = chunks[static_cast<size_t>(k)].second + 1;
+    }
+    EXPECT_EQ(expect, n + 1) << n;
+  }
+}
+
+// Sleeps well past the spin budget, so every worker has parked.
+void let_workers_park() {
+  std::this_thread::sleep_for(3 * ThreadPool::kSpinBudget);
+}
+
+// Runs parallel_for(1, n) and requires every iteration exactly once.
+void expect_each_iteration_once(ThreadPool& pool, int64_t n) {
+  std::vector<std::atomic<int>> hits(static_cast<size_t>(n) + 1);
+  pool.parallel_for(1, n, [&](int64_t lo, int64_t hi, int) {
+    for (int64_t i = lo; i <= hi; ++i) hits[static_cast<size_t>(i)]++;
+  });
+  for (int64_t i = 1; i <= n; ++i)
+    ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << i;
+}
+
+TEST(ThreadPool, WakesParkedWorkersWithoutLosingARegion) {
+  ThreadPool pool(4);
+  for (int region = 0; region < 10000; ++region) {
+    let_workers_park();
+    expect_each_iteration_once(pool, 8);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(ThreadPool, ParallelForAndForEachIndexInterleave) {
+  // Back-to-back jobs of different sizes: a lane still polling one job
+  // while the next is published must neither claim an item of the next
+  // with the last one's state nor count an item twice.
+  ThreadPool pool(4);
+  for (int round = 0; round < 50000; ++round) {
+    expect_each_iteration_once(pool, 37);
+    std::vector<std::atomic<int>> hits(13);
+    pool.for_each_index(13, [&](int64_t i, int) {
+      hits[static_cast<size_t>(i)]++;
+    });
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+    if (round % 5000 == 0) let_workers_park();
+  }
+}
+
+TEST(ThreadPool, WorkerChunkExceptionAfterParkPropagates) {
+  ThreadPool pool(4);
+  for (int round = 0; round < 20; ++round) {
+    let_workers_park();
+    std::atomic<int> ran{0};
+    // The caller lingers in chunk 0, so the woken workers take the others.
+    EXPECT_THROW(pool.parallel_for(1, 4,
+                                   [&](int64_t, int64_t, int idx) {
+                                     ran++;
+                                     if (idx == 0)
+                                       std::this_thread::sleep_for(
+                                           std::chrono::milliseconds(1));
+                                     if (idx == 3)
+                                       throw std::runtime_error("worker");
+                                   }),
+                 std::runtime_error);
+    EXPECT_EQ(ran.load(), 4);
+  }
+  expect_each_iteration_once(pool, 100);
+}
+
+TEST(ThreadPool, DestroyedWhileWorkersParkOrSpin) {
+  { ThreadPool never_used(4); }
+  for (int i = 0; i < 200; ++i) {
+    ThreadPool pool(4);
+    pool.parallel_for(1, 4, [](int64_t, int64_t, int) {});
+    // Even rounds destroy the pool while its workers still spin.
+    if (i % 2) let_workers_park();
+  }
+}
+
+TEST(ThreadPool, MoreLanesThanHardwareThreads) {
+  int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  ThreadPool pool(hw + 3);
+  ASSERT_EQ(pool.size(), hw + 3);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::atomic<int>> chunk_seen(static_cast<size_t>(hw + 3));
+    pool.parallel_for(1, 3 * pool.size(), [&](int64_t, int64_t, int idx) {
+      chunk_seen[static_cast<size_t>(idx)]++;
+    });
+    for (const auto& c : chunk_seen) ASSERT_EQ(c.load(), 1);
+    std::atomic<int64_t> sum{0};
+    pool.for_each_index(50, [&](int64_t i, int) { sum += i; });
+    ASSERT_EQ(sum.load(), 50 * 49 / 2);
+  }
 }
 
 }  // namespace
