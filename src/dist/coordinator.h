@@ -4,7 +4,7 @@
 // apserved; the coordinator's executor hook shards each compile/run by
 // its content fingerprint (service::cache_key — the same value the cache
 // tier is keyed by), ranks the routable workers with rendezvous hashing,
-// and relays the request as a v3 `forward` to the best-ranked worker.
+// and relays the request as a `forward` to the best-ranked worker.
 //
 // Robustness, walked in ranking order:
 //   - transport error mid-request: one immediate retry on a fresh

@@ -17,7 +17,7 @@
 // `replicate` peers in the same ranking, so the natural failover targets
 // are warm before they are ever asked.
 //
-// Unit-artifact tier (wire v6): when a UnitCache is attached, the same
+// Unit-artifact tier: when a UnitCache is attached, the same
 // pattern runs one level down. A unit whose pass-boundary key misses both
 // local tiers is probed from peers with `unit_probe` before the pass
 // recomputes it, and fresh unit snapshots are pushed with `unit_fill` —

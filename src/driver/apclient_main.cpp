@@ -46,7 +46,7 @@
 //                        connection (pipelined; responses may return out
 //                        of order and are matched by id; default 1)
 //   --batch N            (--matrix) pack N files per `compile_batch`
-//                        frame (v4; incompatible with --run; default off)
+//                        frame (incompatible with --run; default off)
 //   --codec C            wire codec: auto | json | binary (default auto:
 //                        hello-negotiate, binary when the server offers
 //                        it, JSON otherwise)
@@ -832,7 +832,7 @@ int run_top(const Args& args) {
 }
 
 // --coordinator: negotiate before submitting. Verifies the endpoint is a
-// coordinator and that the advertised protocol range overlaps ours.
+// coordinator that speaks our protocol version.
 int check_coordinator(const Args& args) {
   net::Client client;
   std::string err;
@@ -852,13 +852,11 @@ int check_coordinator(const Args& args) {
                  args.port, info.role.c_str());
     return 1;
   }
-  if (info.max_version < net::kMinProtocolVersion ||
-      info.min_version > net::kProtocolVersion) {
+  if (info.version != net::kProtocolVersion) {
     std::fprintf(stderr,
-                 "apclient: no protocol overlap: server speaks v%d..v%d, "
-                 "client v%d..v%d\n",
-                 info.min_version, info.max_version, net::kMinProtocolVersion,
-                 net::kProtocolVersion);
+                 "apclient: protocol mismatch: server speaks v%d, client "
+                 "v%d\n",
+                 info.version, net::kProtocolVersion);
     return 1;
   }
   if (info.draining)

@@ -14,15 +14,13 @@ bool Channel::ensure_connected_locked(std::string* err) {
   if (!client_.connect(opts_.host, opts_.port, err, opts_.recv_timeout_ms))
     return false;
   ++connects_;
-  if (opts_.negotiate) {
-    // Fresh connection: nothing is in flight, so a blocking hello under
-    // the lock is safe.
-    std::string nerr;
-    if (!client_.negotiate(&nerr)) {
-      client_.close();
-      if (err) *err = "negotiate: " + nerr;
-      return false;
-    }
+  // Fresh connection: nothing is in flight, so a blocking hello under the
+  // lock is safe.
+  std::string nerr;
+  if (!client_.negotiate(&nerr)) {
+    client_.close();
+    if (err) *err = "negotiate: " + nerr;
+    return false;
   }
   return true;
 }

@@ -37,8 +37,6 @@ struct ChannelOptions {
   // Bounds each blocking read while waiting for responses (0 = forever).
   // A timeout is a transport failure: all in-flight calls fail.
   int recv_timeout_ms = 0;
-  // Hello-negotiate the binary codec on (re)connect. Off = speak JSON.
-  bool negotiate = true;
 };
 
 class Channel {

@@ -123,26 +123,16 @@ bool Client::submit(Request req, int64_t* id_out, std::string* err) {
 bool Client::recv_any(Response* resp, std::string* err) {
   auto payload = recv_frame(err);
   if (!payload) return false;
-  if (is_binary_frame(*payload)) {
-    std::string decode_err;
-    if (!decode_response_binary(*payload, resp, &decode_err)) {
-      if (err) *err = "undecodable response: " + decode_err;
-      return false;
-    }
-    return true;
-  }
-  std::string parse_err;
-  auto doc = json::parse(*payload, &parse_err);
-  if (!doc) {
-    if (err) *err = "undecodable response: " + parse_err;
-    return false;
-  }
   std::string decode_err;
-  if (!response_from_json(*doc, resp, &decode_err)) {
-    if (err) *err = "undecodable response: " + decode_err;
-    return false;
+  bool ok;
+  if (is_binary_frame(*payload)) {
+    ok = decode_response_binary(*payload, resp, &decode_err);
+  } else {
+    auto doc = json::parse(*payload, &decode_err);
+    ok = doc && response_from_json(*doc, resp, &decode_err);
   }
-  return true;
+  if (!ok && err) *err = "undecodable response: " + decode_err;
+  return ok;
 }
 
 bool Client::call(Request req, Response* resp, std::string* err) {

@@ -9,11 +9,10 @@
 //     how callers re-associate them (`apclient --pipeline N` drives
 //     this; net::Channel wraps it in a thread-safe multiplexer).
 //
-// Codec: JSON by default (interoperates with any v1+ server). After
-// negotiate() — or an explicit set_binary(true) — requests are encoded
-// with the v4 binary TLV codec (binproto.h). Received frames are always
-// decoded by sniffing the codec byte, so a client can speak JSON while
-// accepting binary and vice versa.
+// Codec: JSON by default. After negotiate() — or an explicit
+// set_binary(true) — requests are encoded with the binary TLV codec
+// (binproto.h). Received frames are always decoded by sniffing the codec
+// byte, so a client can speak JSON while accepting binary and vice versa.
 //
 // Not thread-safe; callers wanting concurrency open several Clients or
 // use net::Channel.
@@ -41,14 +40,13 @@ class Client {
   // bounds each blocking read (0 = wait forever).
   bool connect(const std::string& host, int port, std::string* err,
                int recv_timeout_ms = 0);
-  // Loopback shorthand, unchanged from v3 and earlier.
+  // Loopback shorthand.
   bool connect(int port, std::string* err, int recv_timeout_ms = 0);
   void close();
   bool connected() const { return fd_ >= 0; }
 
-  // Selects the request codec explicitly. Binary frames are only
-  // understood by v4 servers — use negotiate() unless the peer's version
-  // is already known.
+  // Selects the request codec explicitly; negotiate() asks the server
+  // first.
   void set_binary(bool on) { binary_ = on; }
   bool binary() const { return binary_; }
 
@@ -73,9 +71,9 @@ class Client {
   // Blocks for the next response frame, whichever request it answers.
   bool recv_any(Response* resp, std::string* err);
 
-  // Version negotiation: sends a `hello` and returns the server's
-  // advertised version range, role, and drain state. False with *err on
-  // transport failure or a server that does not answer hello.
+  // Sends a `hello` and returns the server's version, role, drain state
+  // and codec offer. False with *err on transport failure or a server
+  // that does not answer hello.
   bool hello(HelloInfo* info, std::string* err);
 
   // Raw frame transport (exposed for protocol-hardening tests that must

@@ -1,86 +1,200 @@
 #include "net/protocol.h"
 
+#include <cmath>
 #include <cstdio>
+#include <utility>
+
+#include "net/schema.h"
 
 namespace ap::net {
 
 namespace {
 
-// Reads a field with a kind check; absent fields keep the default.
-bool get_bool(const json::Value& obj, std::string_view key, bool def) {
-  const json::Value* v = obj.find(key);
-  return v ? v->as_bool(def) : def;
+template <class E>
+const char* name_of(E e) {
+  auto names = schema::names(e);
+  size_t i = static_cast<size_t>(e);
+  return i < names.size() ? names[i] : "?";
 }
 
-int64_t get_int(const json::Value& obj, std::string_view key, int64_t def) {
-  const json::Value* v = obj.find(key);
-  return v && v->is_number() ? v->as_int(def) : def;
-}
+// JSON writer: one object member per field that differs from its default.
+class JsonWriter {
+ public:
+  explicit JsonWriter(json::Value* obj) : obj_(obj) {}
 
-std::string get_string(const json::Value& obj, std::string_view key) {
-  const json::Value* v = obj.find(key);
-  return v ? v->as_string() : std::string();
+  template <class T>
+  void operator()(unsigned char, const char* key, const T& x, const T& def) {
+    if (schema::omitted(x, def)) return;
+    json::Value v = to_json(x);
+    if (schema::Message<T> && v.size() == 0) return;
+    obj_->set(key, std::move(v));
+  }
+  template <class T>
+  void opt(unsigned char, const char* key, const bool& has, const T& x) {
+    if (has) obj_->set(key, to_json(x));
+  }
+  void hex(unsigned char, const char* key, const uint64_t& x) {
+    if (x) obj_->set(key, format_key(x));
+  }
+  template <class G>
+  void group(const char* key, const G& g) {
+    json::Value sub = to_json(g);
+    if (sub.size() > 0) obj_->set(key, std::move(sub));
+  }
+
+  template <class T>
+  static json::Value to_json(const T& x) {
+    if constexpr (std::is_enum_v<T>) {
+      return name_of(x);
+    } else if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+      if constexpr (std::is_signed_v<T>)
+        return static_cast<int64_t>(x);
+      else
+        return static_cast<uint64_t>(x);
+    } else if constexpr (schema::Message<T>) {
+      json::Value obj = json::Value::object();
+      JsonWriter w(&obj);
+      schema::fields(w, const_cast<T&>(x));
+      return obj;
+    } else if constexpr (schema::Scalar<T> ||
+                         std::is_same_v<T, json::Value>) {
+      return x;
+    } else {
+      json::Value arr = json::Value::array();
+      for (const auto& e : x) arr.push(to_json(e));
+      return arr;
+    }
+  }
+
+ private:
+  json::Value* obj_;
+};
+
+// JSON reader: absent fields take their default, present ones must have
+// the field's kind. The first error latches; later fields are skipped.
+class JsonReader {
+ public:
+  explicit JsonReader(const json::Value* obj) : obj_(obj) {}
+
+  bool ok() const { return err_.empty(); }
+  const std::string& error() const { return err_; }
+
+  template <class T>
+  void operator()(unsigned char, const char* key, T& x, const T& def) {
+    if (const json::Value* v = find(key))
+      read(*v, key, x);
+    else if constexpr (schema::Scalar<T>)
+      x = def;
+  }
+  template <class T>
+  void opt(unsigned char, const char* key, bool& has, T& x) {
+    if (const json::Value* v = find(key)) {
+      has = true;
+      read(*v, key, x);
+    }
+  }
+  void hex(unsigned char, const char* key, uint64_t& x) {
+    x = 0;
+    const json::Value* v = find(key);
+    if (v && (!v->is_string() || !parse_key(v->as_string(), &x)))
+      fail(key, "a hex string");
+  }
+  template <class G>
+  void group(const char* key, G& g) {
+    static const json::Value kEmpty = json::Value::object();
+    const json::Value* sub = find(key);
+    read(sub ? *sub : kEmpty, key, g);
+  }
+
+  template <class T>
+  void read(const json::Value& v, const char* key, T& x) {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (!v.is_bool()) return fail(key, "a bool");
+      x = v.as_bool();
+    } else if constexpr (std::is_enum_v<T>) {
+      auto names = schema::names(x);
+      for (size_t i = 0; i < names.size(); ++i) {
+        if (v.is_string() && v.as_string() == names[i]) {
+          x = static_cast<T>(i);
+          return;
+        }
+      }
+      fail(key, "a known name", v.is_string() ? v.as_string() : v.dump());
+    } else if constexpr (std::is_floating_point_v<T>) {
+      if (!v.is_number() || !std::isfinite(v.as_double()))
+        return fail(key, "a finite number");
+      x = v.as_double();
+    } else if constexpr (std::is_integral_v<T>) {
+      // Unsigned 64-bit values travel as their int64 bit pattern
+      // (json::Value's uint64 constructor).
+      using Wide = std::conditional_t<std::is_signed_v<T>, int64_t, uint64_t>;
+      Wide w = static_cast<Wide>(v.as_int());
+      if (!v.is_int() || !std::in_range<T>(w))
+        return fail(key, "an integer in range");
+      x = static_cast<T>(w);
+    } else if constexpr (std::is_same_v<T, std::string>) {
+      if (!v.is_string()) return fail(key, "a string");
+      x = v.as_string();
+    } else if constexpr (std::is_same_v<T, json::Value>) {
+      if (!v.is_object()) return fail(key, "an object");
+      x = v;
+    } else if constexpr (schema::Message<T>) {
+      if (!v.is_object()) return fail(key, "an object");
+      const json::Value* outer = std::exchange(obj_, &v);
+      schema::fields(*this, x);
+      obj_ = outer;
+    } else {
+      if (!v.is_array()) return fail(key, "an array");
+      for (const json::Value& item : v.items()) {
+        typename T::value_type e{};
+        read(item, key, e);
+        if (!ok()) return;
+        schema::add(x, std::move(e));
+      }
+    }
+  }
+
+ private:
+  const json::Value* find(const char* key) const {
+    return ok() ? obj_->find(key) : nullptr;
+  }
+  void fail(const char* key, const char* expected,
+            const std::string& got = "") {
+    if (!ok()) return;
+    err_ = std::string("\"") + key + "\" must be " + expected;
+    if (!got.empty()) err_ += " (got " + got + ")";
+  }
+
+  const json::Value* obj_;
+  std::string err_;
+};
+
+template <class M>
+bool read_json(const json::Value& v, M* out, std::string* err) {
+  if (!v.is_object()) {
+    if (err) *err = "message must be a JSON object";
+    return false;
+  }
+  M m;
+  JsonReader r(&v);
+  schema::fields(r, m);
+  if (!r.ok()) {
+    if (err) *err = r.error();
+    return false;
+  }
+  *out = std::move(m);
+  return true;
 }
 
 }  // namespace
 
-const char* request_type_name(RequestType t) {
-  switch (t) {
-    case RequestType::Compile: return "compile";
-    case RequestType::Run: return "run";
-    case RequestType::Metrics: return "metrics";
-    case RequestType::Ping: return "ping";
-    case RequestType::Hello: return "hello";
-    case RequestType::Register: return "register";
-    case RequestType::Heartbeat: return "heartbeat";
-    case RequestType::CacheProbe: return "cache_probe";
-    case RequestType::CacheFill: return "cache_fill";
-    case RequestType::Forward: return "forward";
-    case RequestType::CompileBatch: return "compile_batch";
-    case RequestType::Stats: return "stats";
-    case RequestType::UnitProbe: return "unit_probe";
-    case RequestType::UnitFill: return "unit_fill";
-  }
-  return "?";
+bool schema::read_request_json(const json::Value& v, Request* out,
+                               std::string* err) {
+  return read_json(v, out, err);
 }
 
-bool request_type_requires_v3(RequestType t) {
-  switch (t) {
-    case RequestType::Register:
-    case RequestType::Heartbeat:
-    case RequestType::CacheProbe:
-    case RequestType::CacheFill:
-    case RequestType::Forward:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool request_type_requires_v4(RequestType t) {
-  return t == RequestType::CompileBatch;
-}
-
-bool request_type_requires_v5(RequestType t) {
-  return t == RequestType::Stats;
-}
-
-bool request_type_requires_v6(RequestType t) {
-  return t == RequestType::UnitProbe || t == RequestType::UnitFill;
-}
-
-const char* status_name(Status s) {
-  switch (s) {
-    case Status::Ok: return "ok";
-    case Status::Error: return "error";
-    case Status::Overloaded: return "overloaded";
-    case Status::DeadlineExceeded: return "deadline_exceeded";
-    case Status::UnsupportedVersion: return "unsupported_version";
-    case Status::WorkerLost: return "worker_lost";
-    case Status::ProtocolError: return "protocol_error";
-  }
-  return "?";
-}
+const char* request_type_name(RequestType t) { return name_of(t); }
+const char* status_name(Status s) { return name_of(s); }
 
 std::string format_key(uint64_t key) {
   char buf[17];
@@ -104,636 +218,76 @@ bool parse_key(std::string_view hex, uint64_t* out) {
   return true;
 }
 
-json::Value pipeline_options_to_json(const driver::PipelineOptions& o) {
-  json::Value par = json::Value::object();
-  par.set("min_trip", o.par.min_trip)
-      .set("normalize", o.par.normalize)
-      .set("mark_nested", o.par.mark_nested)
-      .set("use_banerjee", o.par.use_banerjee)
-      .set("use_siv_refinement", o.par.use_siv_refinement)
-      .set("collect_all_blockers", o.par.collect_all_blockers);
-  json::Value conv = json::Value::object();
-  conv.set("max_stmts", static_cast<int64_t>(o.conv.max_stmts))
-      .set("max_callee_calls", o.conv.max_callee_calls)
-      .set("require_in_loop", o.conv.require_in_loop)
-      .set("eliminate_dead_units", o.conv.eliminate_dead_units)
-      .set("max_passes", o.conv.max_passes);
-  json::Value annot = json::Value::object();
-  annot.set("require_in_loop", o.annot.require_in_loop);
-  json::Value reverse = json::Value::object();
-  reverse.set("tolerate_reordering", o.reverse.tolerate_reordering)
-      .set("tolerate_forward_subst", o.reverse.tolerate_forward_subst)
-      .set("tolerate_literals", o.reverse.tolerate_literals)
-      .set("fallback_to_hints", o.reverse.fallback_to_hints);
-
-  const char* config = "none";
-  switch (o.config) {
-    case driver::InlineConfig::None: config = "none"; break;
-    case driver::InlineConfig::Conventional: config = "conv"; break;
-    case driver::InlineConfig::Annotation: config = "annot"; break;
-  }
-  json::Value out = json::Value::object();
-  out.set("config", config)
-      .set("par", std::move(par))
-      .set("conv", std::move(conv))
-      .set("annot", std::move(annot))
-      .set("reverse", std::move(reverse));
-  // Pass-manager controls travel only when set: absent fields decode to the
-  // defaults, so v2 payloads without them stay byte-identical to v1 bodies.
-  if (!o.stop_after.empty()) out.set("stop_after", o.stop_after);
-  if (!o.print_after.empty()) out.set("print_after", o.print_after);
-  return out;
-}
-
-bool pipeline_options_from_json(const json::Value& v,
-                                driver::PipelineOptions* out,
-                                std::string* err) {
-  driver::PipelineOptions o;  // field defaults are the wire defaults
-  if (!v.is_object()) {
-    if (err) *err = "options must be an object";
+bool validate(const Request& r, std::string* err) {
+  auto fail = [&](std::string why) {
+    if (err) *err = std::move(why);
     return false;
+  };
+  if (r.type != RequestType::Hello && r.version != kProtocolVersion)
+    return fail("unsupported protocol version " + std::to_string(r.version) +
+                " (this build speaks v" + std::to_string(kProtocolVersion) +
+                "); send `hello`");
+  RequestType t = r.type;
+  if (t == RequestType::Forward) {
+    t = r.inner;
+    if (t != RequestType::Compile && t != RequestType::Run &&
+        t != RequestType::CompileBatch)
+      return fail("forward requires inner type compile, run, or "
+                  "compile_batch");
   }
-  std::string config = get_string(v, "config");
-  if (config.empty() || config == "none") {
-    o.config = driver::InlineConfig::None;
-  } else if (config == "conv") {
-    o.config = driver::InlineConfig::Conventional;
-  } else if (config == "annot") {
-    o.config = driver::InlineConfig::Annotation;
-  } else {
-    if (err) *err = "unknown config: " + config;
-    return false;
-  }
-  if (const json::Value* par = v.find("par")) {
-    o.par.min_trip = get_int(*par, "min_trip", o.par.min_trip);
-    o.par.normalize = get_bool(*par, "normalize", o.par.normalize);
-    o.par.mark_nested = get_bool(*par, "mark_nested", o.par.mark_nested);
-    o.par.use_banerjee = get_bool(*par, "use_banerjee", o.par.use_banerjee);
-    o.par.use_siv_refinement =
-        get_bool(*par, "use_siv_refinement", o.par.use_siv_refinement);
-    o.par.collect_all_blockers =
-        get_bool(*par, "collect_all_blockers", o.par.collect_all_blockers);
-  }
-  if (const json::Value* conv = v.find("conv")) {
-    o.conv.max_stmts = static_cast<size_t>(
-        get_int(*conv, "max_stmts", static_cast<int64_t>(o.conv.max_stmts)));
-    o.conv.max_callee_calls = static_cast<int>(
-        get_int(*conv, "max_callee_calls", o.conv.max_callee_calls));
-    o.conv.require_in_loop =
-        get_bool(*conv, "require_in_loop", o.conv.require_in_loop);
-    o.conv.eliminate_dead_units =
-        get_bool(*conv, "eliminate_dead_units", o.conv.eliminate_dead_units);
-    o.conv.max_passes =
-        static_cast<int>(get_int(*conv, "max_passes", o.conv.max_passes));
-  }
-  if (const json::Value* annot = v.find("annot")) {
-    o.annot.require_in_loop =
-        get_bool(*annot, "require_in_loop", o.annot.require_in_loop);
-  }
-  if (const json::Value* reverse = v.find("reverse")) {
-    o.reverse.tolerate_reordering =
-        get_bool(*reverse, "tolerate_reordering", o.reverse.tolerate_reordering);
-    o.reverse.tolerate_forward_subst = get_bool(
-        *reverse, "tolerate_forward_subst", o.reverse.tolerate_forward_subst);
-    o.reverse.tolerate_literals =
-        get_bool(*reverse, "tolerate_literals", o.reverse.tolerate_literals);
-    o.reverse.fallback_to_hints =
-        get_bool(*reverse, "fallback_to_hints", o.reverse.fallback_to_hints);
-  }
-  o.stop_after = get_string(v, "stop_after");
-  o.print_after = get_string(v, "print_after");
-  *out = o;
-  return true;
-}
-
-json::Value interp_options_to_json(const interp::InterpOptions& o) {
-  json::Value out = json::Value::object();
-  out.set("engine", o.engine == interp::Engine::Tree ? "tree" : "bytecode")
-      .set("threads", o.num_threads)
-      .set("enable_parallel", o.enable_parallel)
-      .set("max_steps", o.max_steps)
-      .set("check_bounds", o.check_bounds);
-  return out;
-}
-
-bool interp_options_from_json(const json::Value& v,
-                              interp::InterpOptions* out, std::string* err) {
-  interp::InterpOptions o;
-  if (!v.is_object()) {
-    if (err) *err = "interp options must be an object";
-    return false;
-  }
-  std::string engine = get_string(v, "engine");
-  if (engine.empty() || engine == "bytecode") {
-    o.engine = interp::Engine::Bytecode;
-  } else if (engine == "tree") {
-    o.engine = interp::Engine::Tree;
-  } else {
-    if (err) *err = "unknown engine: " + engine;
-    return false;
-  }
-  o.num_threads = static_cast<int>(get_int(v, "threads", o.num_threads));
-  if (o.num_threads < 1) o.num_threads = 1;
-  o.enable_parallel = get_bool(v, "enable_parallel", o.enable_parallel);
-  o.max_steps = get_int(v, "max_steps", o.max_steps);
-  o.check_bounds = get_bool(v, "check_bounds", o.check_bounds);
-  *out = o;
-  return true;
-}
-
-namespace {
-
-json::Value compile_result_to_json(const service::CompileResult& r) {
-  json::Value loops = json::Value::array();
-  for (int64_t id : r.parallel_loops) loops.push(id);
-  json::Value passes = json::Value::array();
-  for (const auto& p : r.timings.passes) {
-    json::Value rec = json::Value::object();
-    rec.set("name", p.name)
-        .set("wall_ms", p.wall_ms)
-        .set("units", static_cast<int64_t>(p.units))
-        .set("diags", static_cast<int64_t>(p.diagnostics));
-    // v6 per-boundary counters, emitted only when non-zero so pre-v6
-    // bodies are unchanged for non-snapshotting runs.
-    if (p.unit_hits + p.unit_misses > 0) {
-      rec.set("unit_hits", static_cast<int64_t>(p.unit_hits))
-          .set("unit_misses", static_cast<int64_t>(p.unit_misses))
-          .set("unit_disk_hits", static_cast<int64_t>(p.unit_disk_hits))
-          .set("unit_peer_hits", static_cast<int64_t>(p.unit_peer_hits))
-          .set("unit_invalidated", static_cast<int64_t>(p.unit_invalidated));
-    }
-    passes.push(std::move(rec));
-  }
-  json::Value timings = json::Value::object();
-  timings.set("total_ms", r.timings.total_ms)
-      .set("passes", std::move(passes));
-  json::Value out = json::Value::object();
-  out.set("ok", r.ok)
-      .set("error", r.error)
-      .set("cache_hit", r.cache_hit)
-      .set("peer_hit", r.peer_hit)
-      .set("parallel_loops", std::move(loops))
-      .set("code_lines", static_cast<int64_t>(r.code_lines))
-      .set("dep_tests", static_cast<int64_t>(r.dep_tests))
-      .set("dep_tests_unique", static_cast<int64_t>(r.dep_tests_unique))
-      .set("unit_hits", static_cast<int64_t>(r.unit_hits))
-      .set("unit_misses", static_cast<int64_t>(r.unit_misses))
-      .set("unit_invalidated", static_cast<int64_t>(r.unit_invalidated))
-      .set("unit_disk_hits", static_cast<int64_t>(r.unit_disk_hits))
-      .set("unit_peer_hits", static_cast<int64_t>(r.unit_peer_hits))
-      .set("timings", std::move(timings))
-      .set("stopped_early", r.stopped_early)
-      .set("program", r.program_text);
-  if (!r.print_dump.empty()) out.set("print_dump", r.print_dump);
-  return out;
-}
-
-service::CompileResult compile_result_from_json(const json::Value& v) {
-  service::CompileResult r;
-  r.ok = get_bool(v, "ok", false);
-  r.error = get_string(v, "error");
-  r.cache_hit = get_bool(v, "cache_hit", false);
-  r.peer_hit = get_bool(v, "peer_hit", false);
-  if (const json::Value* loops = v.find("parallel_loops")) {
-    for (const json::Value& id : loops->items())
-      r.parallel_loops.insert(id.as_int());
-  }
-  r.code_lines = static_cast<size_t>(get_int(v, "code_lines", 0));
-  r.dep_tests = static_cast<size_t>(get_int(v, "dep_tests", 0));
-  r.dep_tests_unique = static_cast<size_t>(get_int(v, "dep_tests_unique", 0));
-  r.unit_hits = static_cast<size_t>(get_int(v, "unit_hits", 0));
-  r.unit_misses = static_cast<size_t>(get_int(v, "unit_misses", 0));
-  r.unit_invalidated = static_cast<size_t>(get_int(v, "unit_invalidated", 0));
-  r.unit_disk_hits = static_cast<size_t>(get_int(v, "unit_disk_hits", 0));
-  r.unit_peer_hits = static_cast<size_t>(get_int(v, "unit_peer_hits", 0));
-  if (const json::Value* t = v.find("timings")) {
-    if (const json::Value* total = t->find("total_ms"))
-      r.timings.total_ms = total->as_double();
-    if (const json::Value* passes = t->find("passes")) {
-      for (const json::Value& rec : passes->items()) {
-        pm::PassRecord p;
-        p.name = get_string(rec, "name");
-        if (const json::Value* w = rec.find("wall_ms"))
-          p.wall_ms = w->as_double();
-        p.units = static_cast<int>(get_int(rec, "units", 0));
-        p.diagnostics = static_cast<int>(get_int(rec, "diags", 0));
-        p.unit_hits = static_cast<int>(get_int(rec, "unit_hits", 0));
-        p.unit_misses = static_cast<int>(get_int(rec, "unit_misses", 0));
-        p.unit_disk_hits = static_cast<int>(get_int(rec, "unit_disk_hits", 0));
-        p.unit_peer_hits = static_cast<int>(get_int(rec, "unit_peer_hits", 0));
-        p.unit_invalidated =
-            static_cast<int>(get_int(rec, "unit_invalidated", 0));
-        r.timings.passes.push_back(std::move(p));
-      }
-    }
-  }
-  r.stopped_early = get_bool(v, "stopped_early", false);
-  r.print_dump = get_string(v, "print_dump");
-  r.program_text = get_string(v, "program");
-  return r;
-}
-
-json::Value run_payload_to_json(const RunPayload& r) {
-  json::Value out = json::Value::object();
-  out.set("ok", r.ok)
-      .set("stopped", r.stopped)
-      .set("stop_message", r.stop_message)
-      .set("error", r.error)
-      .set("output", r.output)
-      .set("statements", r.statements)
-      .set("statements_parallel", r.statements_parallel)
-      .set("instructions", r.instructions)
-      .set("wall_ms", r.wall_ms);
-  return out;
-}
-
-RunPayload run_payload_from_json(const json::Value& v) {
-  RunPayload r;
-  r.ok = get_bool(v, "ok", false);
-  r.stopped = get_bool(v, "stopped", false);
-  r.stop_message = get_string(v, "stop_message");
-  r.error = get_string(v, "error");
-  r.output = get_string(v, "output");
-  r.statements = static_cast<uint64_t>(get_int(v, "statements", 0));
-  r.statements_parallel =
-      static_cast<uint64_t>(get_int(v, "statements_parallel", 0));
-  r.instructions = static_cast<uint64_t>(get_int(v, "instructions", 0));
-  if (const json::Value* w = v.find("wall_ms")) r.wall_ms = w->as_double();
-  return r;
-}
-
-json::Value worker_info_to_json(const WorkerInfo& w) {
-  json::Value out = json::Value::object();
-  out.set("id", w.id).set("host", w.host).set("port", w.port);
-  return out;
-}
-
-WorkerInfo worker_info_from_json(const json::Value& v) {
-  WorkerInfo w;
-  w.id = get_string(v, "id");
-  w.host = get_string(v, "host");
-  w.port = static_cast<int>(get_int(v, "port", 0));
-  return w;
-}
-
-json::Value worker_load_to_json(const WorkerLoad& l) {
-  json::Value out = json::Value::object();
-  out.set("queue_depth", l.queue_depth)
-      .set("running", l.running)
-      .set("cache_entries", l.cache_entries)
-      .set("cache_hits", l.cache_hits)
-      .set("cache_misses", l.cache_misses)
-      .set("peer_hits", l.peer_hits);
-  // v5: emitted only when set so pre-v5 heartbeat bodies are unchanged.
-  if (!l.hist.empty()) out.set("hist", l.hist);
-  return out;
-}
-
-WorkerLoad worker_load_from_json(const json::Value& v) {
-  WorkerLoad l;
-  l.queue_depth = get_int(v, "queue_depth", 0);
-  l.running = get_int(v, "running", 0);
-  l.cache_entries = static_cast<uint64_t>(get_int(v, "cache_entries", 0));
-  l.cache_hits = static_cast<uint64_t>(get_int(v, "cache_hits", 0));
-  l.cache_misses = static_cast<uint64_t>(get_int(v, "cache_misses", 0));
-  l.peer_hits = static_cast<uint64_t>(get_int(v, "peer_hits", 0));
-  l.hist = get_string(v, "hist");
-  return l;
-}
-
-// Compile/run (and forwards of them) share the same payload fields.
-bool carries_compile_payload(RequestType t, RequestType inner) {
-  if (t == RequestType::Forward)
-    return inner == RequestType::Compile || inner == RequestType::Run;
-  return t == RequestType::Compile || t == RequestType::Run;
-}
-
-// compile_batch (and forwards of it) carry the batch array instead.
-bool carries_batch_payload(RequestType t, RequestType inner) {
-  return t == RequestType::CompileBatch ||
-         (t == RequestType::Forward && inner == RequestType::CompileBatch);
-}
-
-json::Value batch_item_to_json(const BatchItem& b) {
-  json::Value out = json::Value::object();
-  out.set("name", b.name)
-      .set("source", b.source)
-      .set("annotations", b.annotations)
-      .set("options", pipeline_options_to_json(b.options));
-  return out;
-}
-
-}  // namespace
-
-json::Value request_to_json(const Request& r) {
-  json::Value out = json::Value::object();
-  out.set("v", r.version)
-      .set("type", request_type_name(r.type))
-      .set("id", r.id);
-  // v5 trace context, emitted only when set: pre-v5 bodies are unchanged.
-  if (r.trace) out.set("trace", true);
-  if (r.trace_id) out.set("trace_id", format_key(r.trace_id));
-  if (carries_compile_payload(r.type, r.inner)) {
-    out.set("name", r.name)
-        .set("source", r.source)
-        .set("annotations", r.annotations)
-        .set("options", pipeline_options_to_json(r.options));
-  }
-  if (carries_batch_payload(r.type, r.inner)) {
-    json::Value batch = json::Value::array();
-    for (const auto& b : r.batch) batch.push(batch_item_to_json(b));
-    out.set("batch", std::move(batch));
-  }
-  if ((carries_compile_payload(r.type, r.inner) ||
-       carries_batch_payload(r.type, r.inner)) &&
-      r.deadline_ms > 0)
-    out.set("deadline_ms", r.deadline_ms);
-  bool wants_interp =
-      r.type == RequestType::Run ||
-      (r.type == RequestType::Forward && r.inner == RequestType::Run);
-  if (wants_interp) out.set("interp", interp_options_to_json(r.interp));
-  switch (r.type) {
-    case RequestType::Register:
-      out.set("worker", worker_info_to_json(r.worker));
+  uint64_t key;
+  switch (t) {
+    case RequestType::Run:
+      if (r.interp.num_threads < 1 || r.interp.num_threads > kMaxRunThreads)
+        return fail("run requires 1.." + std::to_string(kMaxRunThreads) +
+                    " interpreter threads (got " +
+                    std::to_string(r.interp.num_threads) + ")");
+      [[fallthrough]];
+    case RequestType::Compile:
+      if (r.source.empty())
+        return fail("compile/run request requires a non-empty \"source\"");
       break;
+    case RequestType::CompileBatch:
+      for (const BatchItem& b : r.batch)
+        if (b.source.empty())
+          return fail("batch items require a non-empty \"source\"");
+      break;
+    case RequestType::Register:
     case RequestType::Heartbeat:
-      out.set("worker", worker_info_to_json(r.worker))
-          .set("load", worker_load_to_json(r.load));
-      if (r.leaving) out.set("leaving", true);
+      if (r.worker.id.empty()) return fail("worker id must be non-empty");
       break;
     case RequestType::CacheProbe:
-      out.set("key", r.key);
-      break;
     case RequestType::CacheFill:
-      out.set("key", r.key).set("payload", r.payload);
-      break;
     case RequestType::UnitProbe:
-      out.set("key", r.key);
-      break;
     case RequestType::UnitFill:
-      out.set("key", r.key)
-          .set("payload", r.payload)
-          .set("boundary", r.boundary);
-      break;
-    case RequestType::Forward:
-      out.set("inner", request_type_name(r.inner)).set("attempt", r.attempt);
+      if (!parse_key(r.key, &key))
+        return fail(std::string(request_type_name(r.type)) +
+                    " requires a hex \"key\"");
       break;
     default:
       break;
   }
-  return out;
+  return true;
+}
+
+json::Value request_to_json(const Request& r) {
+  return JsonWriter::to_json(r);
 }
 
 bool request_from_json(const json::Value& v, Request* out, std::string* err) {
-  if (!v.is_object()) {
-    if (err) *err = "request must be a JSON object";
-    return false;
-  }
-  int64_t version = get_int(v, "v", 0);
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
-    if (err)
-      *err = "unsupported protocol version " + std::to_string(version) +
-             " (supported " + std::to_string(kMinProtocolVersion) + ".." +
-             std::to_string(kProtocolVersion) + ")";
-    return false;
-  }
   Request r;
-  r.version = static_cast<int>(version);
-  std::string type = get_string(v, "type");
-  if (type == "compile") r.type = RequestType::Compile;
-  else if (type == "run") r.type = RequestType::Run;
-  else if (type == "metrics") r.type = RequestType::Metrics;
-  else if (type == "ping") r.type = RequestType::Ping;
-  else if (type == "hello") r.type = RequestType::Hello;
-  else if (type == "register") r.type = RequestType::Register;
-  else if (type == "heartbeat") r.type = RequestType::Heartbeat;
-  else if (type == "cache_probe") r.type = RequestType::CacheProbe;
-  else if (type == "cache_fill") r.type = RequestType::CacheFill;
-  else if (type == "forward") r.type = RequestType::Forward;
-  else if (type == "compile_batch") r.type = RequestType::CompileBatch;
-  else if (type == "stats") r.type = RequestType::Stats;
-  else if (type == "unit_probe") r.type = RequestType::UnitProbe;
-  else if (type == "unit_fill") r.type = RequestType::UnitFill;
-  else {
-    if (err) *err = "unknown request type: " + type;
-    return false;
-  }
-  r.id = get_int(v, "id", 0);
-  r.trace = get_bool(v, "trace", false);
-  std::string trace_id = get_string(v, "trace_id");
-  if (!trace_id.empty() && !parse_key(trace_id, &r.trace_id)) {
-    if (err) *err = "trace_id must be hex";
-    return false;
-  }
-  if (r.type == RequestType::Forward) {
-    // The inner type decides which payload shape the forward carries, so
-    // it must be resolved before the payload fields.
-    std::string inner = get_string(v, "inner");
-    if (inner == "compile") r.inner = RequestType::Compile;
-    else if (inner == "run") r.inner = RequestType::Run;
-    else if (inner == "compile_batch") r.inner = RequestType::CompileBatch;
-    else {
-      if (err) *err = "forward requires inner type compile, run, or "
-                      "compile_batch";
-      return false;
-    }
-  }
-  if (carries_compile_payload(r.type, r.inner)) {
-    const json::Value* source = v.find("source");
-    if (!source || !source->is_string()) {
-      if (err) *err = "compile/run request requires a string \"source\"";
-      return false;
-    }
-    r.source = source->as_string();
-    r.name = get_string(v, "name");
-    r.annotations = get_string(v, "annotations");
-    r.deadline_ms = get_int(v, "deadline_ms", 0);
-    if (const json::Value* opts = v.find("options")) {
-      if (!pipeline_options_from_json(*opts, &r.options, err)) return false;
-    }
-  }
-  if (carries_batch_payload(r.type, r.inner)) {
-    const json::Value* batch = v.find("batch");
-    if (!batch || !batch->is_array()) {
-      if (err) *err = "compile_batch requires a \"batch\" array";
-      return false;
-    }
-    r.deadline_ms = get_int(v, "deadline_ms", 0);
-    for (const json::Value& item : batch->items()) {
-      if (!item.is_object()) {
-        if (err) *err = "batch items must be objects";
-        return false;
-      }
-      const json::Value* source = item.find("source");
-      if (!source || !source->is_string()) {
-        if (err) *err = "batch items require a string \"source\"";
-        return false;
-      }
-      BatchItem b;
-      b.name = get_string(item, "name");
-      b.source = source->as_string();
-      b.annotations = get_string(item, "annotations");
-      if (const json::Value* opts = item.find("options")) {
-        if (!pipeline_options_from_json(*opts, &b.options, err)) return false;
-      }
-      r.batch.push_back(std::move(b));
-    }
-  }
-  switch (r.type) {
-    case RequestType::Run:
-      if (const json::Value* io = v.find("interp")) {
-        if (!interp_options_from_json(*io, &r.interp, err)) return false;
-      }
-      break;
-    case RequestType::Register:
-    case RequestType::Heartbeat: {
-      const json::Value* w = v.find("worker");
-      if (!w || !w->is_object()) {
-        if (err) *err = "register/heartbeat requires a \"worker\" object";
-        return false;
-      }
-      r.worker = worker_info_from_json(*w);
-      if (r.worker.id.empty()) {
-        if (err) *err = "worker id must be non-empty";
-        return false;
-      }
-      if (const json::Value* l = v.find("load"))
-        r.load = worker_load_from_json(*l);
-      r.leaving = get_bool(v, "leaving", false);
-      break;
-    }
-    case RequestType::CacheProbe:
-    case RequestType::CacheFill: {
-      r.key = get_string(v, "key");
-      uint64_t parsed;
-      if (!parse_key(r.key, &parsed)) {
-        if (err) *err = "cache_probe/cache_fill requires a hex \"key\"";
-        return false;
-      }
-      if (r.type == RequestType::CacheFill) r.payload = get_string(v, "payload");
-      break;
-    }
-    case RequestType::UnitProbe:
-    case RequestType::UnitFill: {
-      r.key = get_string(v, "key");
-      uint64_t parsed;
-      if (!parse_key(r.key, &parsed)) {
-        if (err) *err = "unit_probe/unit_fill requires a hex \"key\"";
-        return false;
-      }
-      if (r.type == RequestType::UnitFill) {
-        r.payload = get_string(v, "payload");
-        r.boundary = get_string(v, "boundary");
-      }
-      break;
-    }
-    case RequestType::Forward: {
-      r.attempt = static_cast<int>(get_int(v, "attempt", 0));
-      if (r.inner == RequestType::Run) {
-        if (const json::Value* io = v.find("interp")) {
-          if (!interp_options_from_json(*io, &r.interp, err)) return false;
-        }
-      }
-      break;
-    }
-    default:
-      break;
-  }
-  *out = r;
+  if (!read_json(v, &r, err) || !validate(r, err)) return false;
+  *out = std::move(r);
   return true;
 }
 
 json::Value response_to_json(const Response& r) {
-  json::Value out = json::Value::object();
-  out.set("v", kProtocolVersion)
-      .set("id", r.id)
-      .set("status", status_name(r.status));
-  if (!r.error.empty()) out.set("error", r.error);
-  if (r.has_result) out.set("result", compile_result_to_json(r.result));
-  if (r.has_run) out.set("run", run_payload_to_json(r.run));
-  if (r.metrics.is_object()) out.set("metrics", r.metrics);
-  if (r.trace.is_object()) out.set("trace", r.trace);
-  if (r.has_hello) {
-    json::Value hello = json::Value::object();
-    hello.set("min_version", r.hello.min_version)
-        .set("max_version", r.hello.max_version)
-        .set("role", r.hello.role)
-        .set("draining", r.hello.draining)
-        .set("binary", r.hello.binary);
-    out.set("hello", std::move(hello));
-  }
-  if (r.found || !r.payload.empty()) {
-    out.set("found", r.found);
-    if (!r.payload.empty()) out.set("payload", r.payload);
-  }
-  if (r.has_peers) {
-    json::Value peers = json::Value::array();
-    for (const auto& p : r.peers) peers.push(worker_info_to_json(p));
-    out.set("peers", std::move(peers));
-  }
-  if (r.has_batch) {
-    json::Value batch = json::Value::array();
-    for (const auto& item : r.batch) batch.push(compile_result_to_json(item));
-    out.set("batch", std::move(batch));
-  }
-  return out;
+  return JsonWriter::to_json(r);
 }
 
 bool response_from_json(const json::Value& v, Response* out,
                         std::string* err) {
-  if (!v.is_object()) {
-    if (err) *err = "response must be a JSON object";
-    return false;
-  }
-  Response r;
-  r.id = get_int(v, "id", 0);
-  std::string status = get_string(v, "status");
-  if (status == "ok") r.status = Status::Ok;
-  else if (status == "error") r.status = Status::Error;
-  else if (status == "overloaded") r.status = Status::Overloaded;
-  else if (status == "deadline_exceeded") r.status = Status::DeadlineExceeded;
-  else if (status == "unsupported_version") r.status = Status::UnsupportedVersion;
-  else if (status == "worker_lost") r.status = Status::WorkerLost;
-  else if (status == "protocol_error") r.status = Status::ProtocolError;
-  else {
-    if (err) *err = "unknown response status: " + status;
-    return false;
-  }
-  r.error = get_string(v, "error");
-  if (const json::Value* result = v.find("result")) {
-    r.has_result = true;
-    r.result = compile_result_from_json(*result);
-  }
-  if (const json::Value* run = v.find("run")) {
-    r.has_run = true;
-    r.run = run_payload_from_json(*run);
-  }
-  if (const json::Value* metrics = v.find("metrics")) r.metrics = *metrics;
-  if (const json::Value* trace = v.find("trace")) r.trace = *trace;
-  if (const json::Value* hello = v.find("hello")) {
-    r.has_hello = true;
-    r.hello.min_version =
-        static_cast<int>(get_int(*hello, "min_version", kMinProtocolVersion));
-    r.hello.max_version =
-        static_cast<int>(get_int(*hello, "max_version", kProtocolVersion));
-    r.hello.role = get_string(*hello, "role");
-    r.hello.draining = get_bool(*hello, "draining", false);
-    r.hello.binary = get_bool(*hello, "binary", false);
-  }
-  r.found = get_bool(v, "found", false);
-  r.payload = get_string(v, "payload");
-  if (const json::Value* peers = v.find("peers")) {
-    r.has_peers = true;
-    for (const json::Value& p : peers->items())
-      r.peers.push_back(worker_info_from_json(p));
-  }
-  if (const json::Value* batch = v.find("batch")) {
-    r.has_batch = true;
-    for (const json::Value& item : batch->items())
-      r.batch.push_back(compile_result_from_json(item));
-  }
-  *out = r;
-  return true;
+  return read_json(v, out, err);
 }
 
 }  // namespace ap::net

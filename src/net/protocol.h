@@ -1,77 +1,85 @@
-// The versioned JSON wire protocol spoken between apserved and apclient.
+// The wire protocol spoken between apserved, apclient and fleet peers.
 //
-// Every frame payload is one JSON object. Requests carry `"v"` (protocol
-// version, any value in [kMinProtocolVersion, kProtocolVersion]), `"type"`,
-// a client-chosen `"id"` echoed in the response, and per-type fields:
+// One message set, declared once: every message's fields are listed a
+// single time in net/schema.h, and both codecs are derived from that list
+// — JSON (this header; `--codec json`, hand-written test frames) and the
+// binary TLV codec (binproto.h, the default once a `hello` offers it).
+// Every peer is built from this tree, so there is one protocol version,
+// kProtocolVersion.
+//
+// Requests carry `"v"` (the claimed version), `"type"`, a client-chosen
+// `"id"` echoed in the response, and per-type fields:
 //
 //   compile     — source text, annotation text, full PipelineOptions
-//   run         — compile fields plus a full InterpOptions encoding; the
-//                 server compiles (uncached path: execution needs the live
-//                 AST with its OMP metadata) and executes the result
+//   run         — compile fields plus InterpOptions; the server compiles
+//                 (uncached path: execution needs the live AST with its
+//                 OMP metadata) and executes the result
 //   metrics     — no payload; returns cache + server counters
-//   stats       — v5: no payload; returns the live metrics document plus
+//   stats       — no payload; returns the live metrics document plus
 //                 latency-histogram summaries (per request type and per
-//                 cache outcome) and trace-store counters, answered on
-//                 the loop thread so a busy daemon can be polled without
+//                 cache outcome) and trace-store counters, answered on the
+//                 loop thread so a busy daemon can be polled without
 //                 draining
 //   ping        — no payload; liveness probe
-//   hello       — version negotiation: answered with the server's supported
-//                 version range, role, and drain state. Answered for ANY
-//                 claimed version — this is how a client discovers what to
-//                 speak before committing to a version.
+//   hello       — answered with the server's version, role, drain state and
+//                 codec offer, for ANY claimed version: this is how a
+//                 client learns what the server speaks
+//   compile_batch — N compile payloads in one frame, answered as one frame
 //
-// Fleet control plane (v3, the distributed tier of src/dist):
+// Fleet control plane (src/dist):
 //
 //   register    — a worker joins a coordinator: identity + address.
 //                 Response carries the current routable peer list.
 //   heartbeat   — periodic worker→coordinator liveness + load + cache
-//                 stats; `leaving: true` announces a graceful departure.
-//                 Response refreshes the peer list.
+//                 stats and histogram summaries; `leaving: true` announces
+//                 a graceful departure. Response refreshes the peer list.
 //   cache_probe — "do you hold content hash K?" — answered from the local
 //                 result cache with the serialized CompileResult on hit.
-//                 The peer-lookup half of the distributed cache tier.
 //   cache_fill  — push a serialized result under K into the receiver's
 //                 cache (replication after a fresh compile).
-//   unit_probe  — v6: "do you hold unit-artifact key K?" — answered from
-//                 the local unit cache (incr::UnitCache::peek) with the
-//                 opaque pass-boundary payload on hit. Lets a late-joining
-//                 or resharded worker resume a unit mid-pipeline from a
+//   unit_probe  — "do you hold unit-artifact key K?" — answered from the
+//                 local unit cache with the opaque pass-boundary payload on
+//                 hit, so a late-joining worker resumes a unit from a
 //                 peer's snapshot instead of recomputing.
-//   unit_fill   — v6: push a unit artifact under K (with its boundary
-//                 label) into the receiver's unit cache (replication after
-//                 a fresh per-unit compute).
-//   forward     — a coordinator-wrapped compile/run: same payload fields
-//                 plus the wrapped type and the routing attempt counter.
-//                 Workers must never re-forward (no routing loops).
+//   unit_fill   — push a unit artifact under K (with its boundary label)
+//                 into the receiver's unit cache.
+//   forward     — a coordinator-wrapped compile/run/compile_batch: the same
+//                 payload fields plus the wrapped type and the routing
+//                 attempt counter. Workers never re-forward.
+//
+// Any request may ask for tracing (`"trace": true`): every hop records
+// spans and the response carries the assembled tree; `trace_id`
+// propagates on forward/cache_probe/cache_fill so fleet hops correlate.
 //
 // Responses carry the echoed id and a `"status"`:
 //
 //   ok                  — per-type payload (result / run / metrics / hello
-//                         / peers / probe outcome)
+//                         / peers / probe outcome / batch)
 //   error               — request was valid but the work failed
 //   overloaded          — bounded admission queue was full (or draining, or
 //                         a fleet has no routable workers); the request was
 //                         NOT accepted, retry later
 //   deadline_exceeded   — accepted, but not finished within the deadline;
 //                         the result was discarded
-//   unsupported_version — the request's "v" is outside the server's
-//                         supported range (or a v3-only type arrived under
-//                         an older version). Structured and non-fatal: the
-//                         connection stays open so the client can fall back
-//                         after a `hello`.
+//   unsupported_version — the request's "v" is not kProtocolVersion.
+//                         Structured and non-fatal: the connection stays
+//                         open so the client can `hello`.
 //   worker_lost         — fleet only: every routable worker for the shard
-//                         failed mid-request (transport errors after
-//                         bounded retry/failover); safe to retry
+//                         failed mid-request; safe to retry
 //   protocol_error      — unparseable/oversized frame or undecodable
 //                         request; the server closes the connection after
 //                         sending it (the stream cannot be resynchronized)
 //
-// Options encodings are total: every PipelineOptions and InterpOptions
-// field has a named key, so a compile over the wire is bit-equivalent to
-// an in-process run with the same options (tests/net_e2e_test.cpp holds
-// this as an invariant; tests/dist_e2e_test.cpp extends it across a
-// coordinator hop). Unknown request keys are ignored (forward
-// compatibility); unknown enum strings are errors.
+// Presence rule, both codecs: a field equal to its default is omitted, and
+// an absent field decodes to its default. A request type carries only its
+// own payload fields (listed above); JSON ignores a key its type does not
+// carry, and binary rejects such a tag. Options encodings are total, so
+// a compile over the wire is bit-equivalent to an in-process run with the
+// same options (tests/net_e2e_test.cpp; tests/dist_e2e_test.cpp extends it
+// across a coordinator hop). Changing a field's default changes what its
+// absence means on the wire, so it must bump kProtocolVersion. Unknown
+// JSON keys are ignored; unknown enum names and wrongly-typed values are
+// errors.
 #pragma once
 
 #include <cstdint>
@@ -85,33 +93,11 @@
 
 namespace ap::net {
 
-// v6: fleet-shared unit artifacts — unit_probe/unit_fill move single
-// pass-boundary snapshots (incr::UnitCache payloads) between workers the
-// way cache_probe/cache_fill move whole results, and compile results
-// carry the per-boundary unit counters (per-pass unit_hits/unit_misses/
-// unit_disk_hits/unit_peer_hits/unit_invalidated plus the request-level
-// disk/peer split).
-// v5: observability plane — request tracing (`"trace": true` asks every
-// hop to record spans; the response carries the assembled span tree, and
-// the minted `trace_id` propagates on forward/cache_probe/cache_fill so
-// fleet hops correlate), the `stats` request (live ServerStats +
-// latency-histogram summaries from a running daemon, answered on the
-// loop thread without draining), and heartbeat-carried histogram
-// summaries (WorkerLoad.hist) the coordinator merges into fleet-wide
-// quantiles.
-// v4: negotiated binary TLV codec (src/net/binproto.h — same message set,
-// bit-identical round-trip against this JSON codec), request pipelining
-// over one connection (ids were always echoed; v4 makes out-of-order
-// responses an explicit contract), and `compile_batch` (N files per
-// frame, answered as one frame).
-// v3: fleet control plane (register/heartbeat/cache_probe/cache_fill/
-// forward), hello negotiation, unsupported_version + worker_lost statuses.
-// v2: per-pass timing records replace the fixed timing fields in compile
-// results; pipeline options gained stop_after/print_after.
 inline constexpr int kProtocolVersion = 6;
-// v1 request bodies decode identically to v2 (absent fields keep their
-// defaults), so the full historical range stays accepted.
-inline constexpr int kMinProtocolVersion = 1;
+
+// Upper bound on the interpreter lanes a run request may ask for: each
+// lane is an OS thread in the serving daemon.
+inline constexpr int kMaxRunThreads = 64;
 
 enum class RequestType : uint8_t {
   Compile,
@@ -130,23 +116,6 @@ enum class RequestType : uint8_t {
   UnitFill,
 };
 const char* request_type_name(RequestType t);
-
-// True for the v3 fleet control-plane types (register/heartbeat/probe/
-// fill/forward): requests of these types under an older claimed version
-// draw `unsupported_version`.
-bool request_type_requires_v3(RequestType t);
-
-// True for the v4 types (compile_batch): older claimed versions draw
-// `unsupported_version`.
-bool request_type_requires_v4(RequestType t);
-
-// True for the v5 types (stats): older claimed versions draw
-// `unsupported_version`.
-bool request_type_requires_v5(RequestType t);
-
-// True for the v6 types (unit_probe/unit_fill): older claimed versions
-// draw `unsupported_version`.
-bool request_type_requires_v6(RequestType t);
 
 enum class Status : uint8_t {
   Ok,
@@ -182,7 +151,7 @@ struct WorkerLoad {
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t peer_hits = 0;    // misses answered by the peer tier instead
-  // v5: this worker's latency-histogram summaries, as the compact
+  // This worker's latency-histogram summaries, as the compact
   // obs::encode_histogram_set text ("" = none reported). The coordinator
   // merges these into fleet-wide quantiles.
   std::string hist;
@@ -190,13 +159,12 @@ struct WorkerLoad {
 
 // Hello response payload: what the server speaks and what it is.
 struct HelloInfo {
-  int min_version = kMinProtocolVersion;
-  int max_version = kProtocolVersion;
+  int version = kProtocolVersion;
   std::string role = "single";  // "single" | "coordinator" | "worker"
   bool draining = false;
-  // The server accepts v4 binary TLV frames (binproto.h) interleaved with
+  // The server accepts binary TLV frames (binproto.h) interleaved with
   // JSON frames on the same connection. Clients switch codecs only after
-  // seeing this (or max_version >= 4) in a hello.
+  // seeing this in a hello.
   bool binary = false;
 };
 
@@ -212,10 +180,9 @@ struct BatchItem {
 struct Request {
   RequestType type = RequestType::Ping;
   int64_t id = 0;
-  // The version the sender claimed ("v"). Encoders stamp this value (a
-  // v3 client is simulated by setting it below kProtocolVersion);
-  // decoders accept the full supported range and preserve the claim so
-  // servers can gate v3-/v4-only types.
+  // The version the sender claimed ("v"). Encoders stamp this value and
+  // always send it; decoders preserve the claim (absent = 0) so the server
+  // can answer a mismatch with `unsupported_version`.
   int version = kProtocolVersion;
   std::string name;         // display label (app name); not semantic
   std::string source;       // F77-subset program text
@@ -226,14 +193,13 @@ struct Request {
   // --request-timeout-ms default.
   int64_t deadline_ms = 0;
 
-  // --- v3 fleet fields ---
+  // --- fleet fields ---
   WorkerInfo worker;    // register, heartbeat
   WorkerLoad load;      // heartbeat
   bool leaving = false; // heartbeat: graceful departure announcement
   std::string key;      // cache_probe, cache_fill, unit_probe/fill (hex)
   std::string payload;  // cache_fill / unit_fill: serialized payload
 
-  // --- v6 fields ---
   // unit_fill: the snapshotting pass's name ("normalize", "parallelize")
   // — the receiver's stats bucket for the adopted artifact.
   std::string boundary;
@@ -242,10 +208,8 @@ struct Request {
   RequestType inner = RequestType::Compile;
   int attempt = 0;
 
-  // --- v4 fields ---
   std::vector<BatchItem> batch;  // compile_batch: N files in one frame
 
-  // --- v5 fields ---
   // Ask every hop to record spans; the response's `trace` carries the
   // assembled tree. The serving core mints `trace_id` at admission when
   // the client left it 0; internal hops (forward/cache_probe/cache_fill)
@@ -280,12 +244,10 @@ struct Response {
 
   json::Value metrics;  // metrics and stats responses (object); null otherwise
 
-  // --- v5 fields ---
   // Traced requests: the span tree (obs::span_to_json form) assembled by
   // the answering server; null when the request was not traced.
   json::Value trace;
 
-  // --- v3 fleet fields ---
   bool has_hello = false;
   HelloInfo hello;  // hello responses
 
@@ -295,24 +257,25 @@ struct Response {
   bool has_peers = false;
   std::vector<WorkerInfo> peers;  // register/heartbeat: routable peers
 
-  // --- v4 fields ---
   bool has_batch = false;
   // compile_batch: results[i] answers batch[i] (per-item failures are
   // carried in CompileResult::ok/error; the frame status stays ok).
   std::vector<service::CompileResult> batch;
 };
 
-// Options <-> JSON (every field, round-trip exact).
-json::Value pipeline_options_to_json(const driver::PipelineOptions& o);
-bool pipeline_options_from_json(const json::Value& v,
-                                driver::PipelineOptions* out,
-                                std::string* err);
-json::Value interp_options_to_json(const interp::InterpOptions& o);
-bool interp_options_from_json(const json::Value& v,
-                              interp::InterpOptions* out, std::string* err);
+// The semantic checks both decoders run after the structural walk:
+//   - the claimed version is kProtocolVersion (any version for `hello`);
+//   - a forward wraps compile, run or compile_batch;
+//   - compile and run (and forwards of them) carry a non-empty source, as
+//     does every batch item;
+//   - a run asks for 1..kMaxRunThreads interpreter threads;
+//   - register/heartbeat name a worker id;
+//   - cache and unit probes/fills carry a hex key.
+// False with *err naming the first failed check.
+bool validate(const Request& r, std::string* err);
 
-// Messages <-> JSON. The *_from_json decoders validate kinds and enum
-// strings and never throw; on failure they return false with *err set.
+// Messages <-> JSON. The *_from_json decoders check kinds, enum names and
+// validate() and never throw; on failure they return false with *err set.
 json::Value request_to_json(const Request& r);
 bool request_from_json(const json::Value& v, Request* out, std::string* err);
 json::Value response_to_json(const Response& r);

@@ -1,10 +1,6 @@
 #include "net/server.h"
 
-#ifdef AP_NET_USE_POLL
-#include <poll.h>
-#else
 #include <sys/epoll.h>
-#endif
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -29,12 +25,10 @@ constexpr char kWakeDrain = 'q';
 constexpr char kWakeNudge = 'n';
 constexpr char kWakeDump = 'u';  // SIGUSR1 hook: dump the flight recorder
 
-#ifndef AP_NET_USE_POLL
 // epoll_event.data.u64 tags: connection ids start at 1, so these two
 // sentinels can never collide with one.
 constexpr uint64_t kWakeTag = 0;
 constexpr uint64_t kListenTag = UINT64_MAX;
-#endif
 
 double ms_since(clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(clock::now() - t0).count();
@@ -88,7 +82,6 @@ bool Server::start(std::string* err) {
   set_nonblocking(wake_r_);
   set_nonblocking(wake_w_);
 
-#ifndef AP_NET_USE_POLL
   epoll_fd_ = ::epoll_create1(0);
   if (epoll_fd_ < 0) {
     if (err) *err = "epoll_create1 failed";
@@ -105,7 +98,6 @@ bool Server::start(std::string* err) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_r_, &ev);
   ev.data.u64 = kListenTag;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev);
-#endif
 
   started_ = true;
   for (int i = 0; i < opts_.threads; ++i)
@@ -165,18 +157,13 @@ int64_t Server::jobs_running() const {
 void Server::loop_main() {
   clock::time_point drain_deadline = clock::time_point::max();
 
-  // Normalized readiness, shared by the epoll and poll paths.
+  // Connection readiness, copied out of the epoll batch.
   struct Ready {
     uint64_t id;
     bool readable, writable, errored;
   };
   std::vector<Ready> ready;
-#ifdef AP_NET_USE_POLL
-  std::vector<pollfd> fds;
-  std::vector<uint64_t> fd_conn;  // conn id per pollfd slot (0 = not a conn)
-#else
   std::array<epoll_event, 128> events;
-#endif
 
   while (true) {
     // Wait timeout: nearest deadline (request or drain), else idle tick.
@@ -210,43 +197,6 @@ void Server::loop_main() {
     bool accept_ready = false;
     ready.clear();
 
-#ifdef AP_NET_USE_POLL
-    fds.clear();
-    fd_conn.clear();
-    fds.push_back({wake_r_, POLLIN, 0});
-    fd_conn.push_back(0);
-    size_t listen_slot = 0;
-    if (!draining_.load() && listen_fd_ >= 0) {
-      fds.push_back({listen_fd_, POLLIN, 0});
-      fd_conn.push_back(0);
-      listen_slot = fds.size() - 1;
-    }
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      for (auto& [id, conn] : conns_) {
-        short want = 0;
-        if (!conn->closing) want |= POLLIN;
-        {
-          std::lock_guard<std::mutex> out_lock(conn->out_mu);
-          if (conn->out_bytes() > 0) want |= POLLOUT;
-        }
-        if (want == 0) want = POLLERR;  // still watch for hangup
-        fds.push_back({conn->fd, want, 0});
-        fd_conn.push_back(id);
-      }
-    }
-    ::poll(fds.data(), fds.size(), timeout_ms);
-    wake_ready = (fds[0].revents & POLLIN) != 0;
-    accept_ready =
-        listen_slot != 0 && (fds[listen_slot].revents & POLLIN) != 0;
-    for (size_t i = 0; i < fds.size(); ++i) {
-      if (fd_conn[i] == 0 || fds[i].revents == 0) continue;
-      short re = fds[i].revents;
-      ready.push_back({fd_conn[i], (re & (POLLIN | POLLHUP)) != 0,
-                       (re & POLLOUT) != 0,
-                       (re & (POLLERR | POLLNVAL)) != 0});
-    }
-#else
     int n = ::epoll_wait(epoll_fd_, events.data(),
                          static_cast<int>(events.size()), timeout_ms);
     for (int i = 0; i < n; ++i) {
@@ -261,7 +211,6 @@ void Server::loop_main() {
                          (ev & EPOLLOUT) != 0, (ev & EPOLLERR) != 0});
       }
     }
-#endif
     now = clock::now();
 
     // Wake pipe: drain any pending bytes; 'q' starts the drain, 'u' dumps
@@ -317,8 +266,8 @@ void Server::loop_main() {
 
     // Opportunistic flush: handlers above may have queued responses on
     // connections that signaled readable but not writable this round.
-    // Under epoll this pass also reconciles each connection's interest
-    // mask (EPOLL_CTL_MOD only on change).
+    // This pass also reconciles each connection's interest mask
+    // (EPOLL_CTL_MOD only on change).
     {
       std::vector<std::shared_ptr<Connection>> all;
       {
@@ -380,20 +329,17 @@ void Server::accept_new_connections() {
       conn->id = next_conn_id_++;
       conns_[conn->id] = conn;
     }
-#ifndef AP_NET_USE_POLL
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.u64 = conn->id;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
     conn->epoll_mask = EPOLLIN;
-#endif
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.connections;
   }
 }
 
 void Server::update_interest(const std::shared_ptr<Connection>& conn) {
-#ifndef AP_NET_USE_POLL
   if (epoll_fd_ < 0 || conn->fd < 0) return;
   uint32_t want = conn->closing ? 0u : static_cast<uint32_t>(EPOLLIN);
   {
@@ -406,9 +352,6 @@ void Server::update_interest(const std::shared_ptr<Connection>& conn) {
   ev.data.u64 = conn->id;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
   conn->epoll_mask = want;
-#else
-  (void)conn;  // poll interest is rebuilt from scratch each round
-#endif
 }
 
 void Server::read_connection(const std::shared_ptr<Connection>& conn) {
@@ -449,35 +392,16 @@ void Server::read_connection(const std::shared_ptr<Connection>& conn) {
 
 void Server::enqueue_response(const std::shared_ptr<Connection>& conn,
                               const Response& resp, bool binary) {
-  if (binary) {
-    bool sample;
-    {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      sample = (binary_reply_tick_++ % kBytesSavedSampleStride) == 0;
-    }
-    size_t bin_payload;
-    {
-      std::lock_guard<std::mutex> out_lock(conn->out_mu);
-      size_t hdr = begin_frame(&conn->out_back);
-      encode_response_binary(resp, &conn->out_back);
-      end_frame(&conn->out_back, hdr);
-      bin_payload = conn->out_back.size() - hdr - 4;
-    }
-    if (sample) {
-      // The comparison JSON-encodes the whole response, so it is sampled
-      // sparsely — it must not tax the warm fast path it is measuring.
-      size_t json_payload = response_to_json(resp).dump().size();
-      if (json_payload > bin_payload) {
-        std::lock_guard<std::mutex> slock(stats_mu_);
-        stats_.bytes_saved_vs_json +=
-            (json_payload - bin_payload) * kBytesSavedSampleStride;
-      }
-    }
-  } else {
+  if (!binary) {
     std::string payload = response_to_json(resp).dump();
     std::lock_guard<std::mutex> out_lock(conn->out_mu);
     append_frame(&conn->out_back, payload);
+    return;
   }
+  std::lock_guard<std::mutex> out_lock(conn->out_mu);
+  size_t hdr = begin_frame(&conn->out_back);
+  encode_response_binary(resp, &conn->out_back);
+  end_frame(&conn->out_back, hdr);
 }
 
 void Server::handle_frame(const std::shared_ptr<Connection>& conn,
@@ -498,18 +422,6 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     enqueue_response(conn, resp, bin);
   };
 
-  auto hello_reply = [&](int64_t id) {
-    Response resp;
-    resp.id = id;
-    resp.has_hello = true;
-    resp.hello.min_version = kMinProtocolVersion;
-    resp.hello.max_version = kProtocolVersion;
-    resp.hello.role = opts_.role;
-    resp.hello.draining = draining_.load();
-    resp.hello.binary = true;
-    reply(resp);
-  };
-
   auto protocol_error = [&](std::string why) {
     Response resp;
     resp.status = Status::ProtocolError;
@@ -520,102 +432,35 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     ++stats_.protocol_errors;
   };
 
-  auto unsupported = [&](int64_t id, std::string why) {
-    Response resp;
-    resp.id = id;
-    resp.status = Status::UnsupportedVersion;
-    resp.error = std::move(why);
-    reply(resp);
-  };
-
+  // A hello is answered for any claimed version, and a version mismatch
+  // draws a structured `unsupported_version` (connection stays open), so
+  // both are settled between the structural decode and validate().
   Request req;
-  if (bin) {
-    // The binary decoder validates structure but not the version range,
-    // so an out-of-range claim can still draw the structured non-fatal
-    // `unsupported_version` (same contract as JSON).
-    std::string decode_err;
-    if (!decode_request_binary(payload, &req, &decode_err)) {
+  std::string decode_err;
+  if (!read_request(payload, &req, &decode_err)) {
+    protocol_error(std::move(decode_err));
+    return;
+  }
+  if (req.type == RequestType::Hello) {
+    Response resp;
+    resp.id = req.id;
+    resp.has_hello = true;
+    resp.hello.role = opts_.role;
+    resp.hello.draining = draining_.load();
+    resp.hello.binary = true;
+    reply(resp);
+    return;
+  }
+  if (!validate(req, &decode_err)) {
+    if (req.version == kProtocolVersion) {
       protocol_error(std::move(decode_err));
       return;
     }
-    if (req.type == RequestType::Hello) {
-      hello_reply(req.id);
-      return;
-    }
-    if (req.version < kMinProtocolVersion || req.version > kProtocolVersion) {
-      unsupported(req.id, "protocol version " + std::to_string(req.version) +
-                              " outside supported range [" +
-                              std::to_string(kMinProtocolVersion) + ", " +
-                              std::to_string(kProtocolVersion) +
-                              "]; send `hello`");
-      return;
-    }
-  } else {
-    std::string parse_err;
-    auto doc = json::parse(payload, &parse_err);
-    if (!doc || !doc->is_object()) {
-      protocol_error(doc ? "request must be a JSON object"
-                         : "malformed JSON payload: " + parse_err);
-      return;
-    }
-
-    // Negotiation happens before strict decoding: a `hello` is answered
-    // for ANY claimed version, and an out-of-range version draws a
-    // structured `unsupported_version` (connection stays open) rather
-    // than the fatal `protocol_error` path.
-    const json::Value* type_field = doc->find("type");
-    if (type_field && type_field->is_string() &&
-        type_field->as_string() == "hello") {
-      const json::Value* idf = doc->find("id");
-      hello_reply(idf ? idf->as_int() : 0);
-      return;
-    }
-    const json::Value* vf = doc->find("v");
-    int claimed = vf ? static_cast<int>(vf->as_int()) : kProtocolVersion;
-    if (claimed < kMinProtocolVersion || claimed > kProtocolVersion) {
-      const json::Value* idf = doc->find("id");
-      unsupported(idf ? idf->as_int() : 0,
-                  "protocol version " + std::to_string(claimed) +
-                      " outside supported range [" +
-                      std::to_string(kMinProtocolVersion) + ", " +
-                      std::to_string(kProtocolVersion) + "]; send `hello`");
-      return;
-    }
-
-    std::string decode_err;
-    if (!request_from_json(*doc, &req, &decode_err)) {
-      protocol_error(std::move(decode_err));
-      return;
-    }
-  }
-
-  if (request_type_requires_v3(req.type) && req.version < 3) {
-    unsupported(req.id, std::string(request_type_name(req.type)) +
-                            " requires protocol v3 (request claimed v" +
-                            std::to_string(req.version) + ")");
-    return;
-  }
-  if ((request_type_requires_v4(req.type) ||
-       (req.type == RequestType::Forward &&
-        req.inner == RequestType::CompileBatch)) &&
-      req.version < 4) {
-    unsupported(req.id, std::string(request_type_name(req.type)) +
-                            (req.type == RequestType::Forward ? " of compile_batch"
-                                                              : "") +
-                            " requires protocol v4 (request claimed v" +
-                            std::to_string(req.version) + ")");
-    return;
-  }
-  if (request_type_requires_v5(req.type) && req.version < 5) {
-    unsupported(req.id, std::string(request_type_name(req.type)) +
-                            " requires protocol v5 (request claimed v" +
-                            std::to_string(req.version) + ")");
-    return;
-  }
-  if (request_type_requires_v6(req.type) && req.version < 6) {
-    unsupported(req.id, std::string(request_type_name(req.type)) +
-                            " requires protocol v6 (request claimed v" +
-                            std::to_string(req.version) + ")");
+    Response resp;
+    resp.id = req.id;
+    resp.status = Status::UnsupportedVersion;
+    resp.error = std::move(decode_err);
+    reply(resp);
     return;
   }
 
@@ -627,10 +472,8 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       record_latency(req.type, ms_since(t_frame));
       return;
     }
-    case RequestType::Hello: {
-      hello_reply(req.id);
+    case RequestType::Hello:  // answered above
       return;
-    }
     case RequestType::Metrics: {
       Response resp;
       resp.id = req.id;
@@ -862,9 +705,7 @@ void Server::close_connection(uint64_t conn_id) {
     conn = it->second;
     conns_.erase(it);
   }
-#ifndef AP_NET_USE_POLL
   if (epoll_fd_ >= 0) ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd, nullptr);
-#endif
   ::close(conn->fd);
   conn->fd = -1;
 }
@@ -953,7 +794,6 @@ json::Value Server::build_metrics() const {
       .set("json_requests", ss.json_requests)
       .set("binary_requests", ss.binary_requests)
       .set("pipeline_depth_peak", ss.pipeline_depth_peak)
-      .set("bytes_saved_vs_json", ss.bytes_saved_vs_json)
       .set("batches", ss.batches)
       .set("batch_items", ss.batch_items)
       .set("batch_max", ss.batch_max)

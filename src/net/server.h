@@ -1,11 +1,8 @@
 // The apserved serving core: an epoll(7)-based event loop over
 // nonblocking loopback TCP sockets, speaking the length-prefixed protocol
-// of protocol.h in either codec — JSON (v1–v4) or binary TLV (v4,
-// binproto.h), dispatched per frame by the payload's first byte and
-// answered in the codec each request arrived in. Building with
-// -DANNOPAR_NET_POLL=ON swaps the readiness mechanism back to poll(2)
-// for platforms without epoll; everything above the readiness layer is
-// shared.
+// of protocol.h in either codec — JSON or binary TLV (binproto.h) —
+// dispatched per frame by the payload's first byte and answered in the
+// codec each request arrived in.
 //
 // Threading model
 //   One event-loop thread owns all socket I/O: accepting, reading frames,
@@ -20,10 +17,9 @@
 // Pipelining
 //   Clients may submit any number of requests back to back on one
 //   connection; each admitted request is answered with a frame carrying
-//   its echoed id, in completion order (out-of-order responses are the
-//   v4 contract — they always were possible, v4 just names it). A
-//   `compile_batch` request carries N files in one frame and is answered
-//   as one frame of N results.
+//   its echoed id, in completion order (out-of-order responses are part
+//   of the contract). A `compile_batch` request carries N files in one
+//   frame and is answered as one frame of N results.
 //
 // Hot-path memory discipline
 //   Per-connection buffers are reused end to end: the FrameReader
@@ -46,9 +42,9 @@
 //     worker later computes for it is discarded.
 //   - A malformed or oversized frame draws a `protocol_error` response and
 //     the connection is closed (the stream cannot be resynchronized). A
-//     request claiming an unsupported protocol version draws a structured
-//     `unsupported_version` response and the connection STAYS open — the
-//     client can `hello` and fall back.
+//     request claiming any version but kProtocolVersion draws a
+//     structured `unsupported_version` response and the connection STAYS
+//     open — the client can `hello`.
 //   - Idle reaping: a connection with no socket activity, no in-flight
 //     work, and an empty outbox for `idle_timeout_ms` is closed by the
 //     loop, so a silent or half-open peer cannot pin an fd forever.
@@ -244,8 +240,7 @@ class Server {
   uint64_t mint_trace_id();
 
   // Encodes `resp` in the connection's reply codec directly into its
-  // output buffer (with the sampled bytes-saved estimate for binary
-  // replies). Callable from any thread.
+  // output buffer. Callable from any thread.
   void enqueue_response(const std::shared_ptr<Connection>& conn,
                         const Response& resp, bool binary);
 
@@ -260,7 +255,7 @@ class Server {
 
   ServerOptions opts_;
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;  // unused (-1) under the poll fallback
+  int epoll_fd_ = -1;
   int wake_r_ = -1, wake_w_ = -1;
   int port_ = 0;
   bool started_ = false;
@@ -286,12 +281,6 @@ class Server {
 
   mutable std::mutex stats_mu_;
   service::ServerStats stats_;
-  // Sampling for the bytes_saved_vs_json estimate: one binary reply per
-  // stride is also JSON-encoded and the delta extrapolated, so the stat
-  // costs a fraction of one codec, not 100% — the JSON encode runs on
-  // the event-loop thread, inside the warm fast path it is measuring.
-  static constexpr uint64_t kBytesSavedSampleStride = 256;
-  uint64_t binary_reply_tick_ = 0;
 
   // Latency plane: lock-cheap log-bucketed histograms, one per request
   // type plus one per cache outcome. Indexed by RequestType value.

@@ -3,16 +3,15 @@
 // Every message — request or response — travels as one frame:
 //
 //   +----------------------------+----------------------+
-//   | 4-byte big-endian length N | N bytes JSON payload |
+//   | 4-byte big-endian length N | N bytes of payload   |
 //   +----------------------------+----------------------+
 //
 // The length counts payload bytes only. The payload is one JSON document
-// (v1–v3, and v4 peers that stayed on JSON) or one binary TLV message
-// (v4, first byte 0xB4 — see binproto.h); the codec is dispatched per
-// frame by that first byte. A length prefix larger than the receiver's
-// configured maximum is a protocol error: the receiver answers with a
-// `protocol_error` response and closes the connection (it cannot
-// resynchronize inside an untrusted stream). FrameReader is the
+// or one binary TLV message (first byte 0xB4 — see binproto.h); the codec
+// is dispatched per frame by that first byte. A length prefix larger than
+// the receiver's configured maximum is a protocol error: the receiver
+// answers with a `protocol_error` response and closes the connection (it
+// cannot resynchronize inside an untrusted stream). FrameReader is the
 // incremental decoder used by both sides; it consumes bytes as they
 // arrive and yields complete payloads, so it works unchanged over
 // nonblocking sockets that deliver frames in arbitrary fragments. The

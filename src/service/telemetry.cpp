@@ -215,7 +215,6 @@ std::string Telemetry::to_json() const {
       << ", \"json_requests\": " << server_.json_requests
       << ", \"binary_requests\": " << server_.binary_requests
       << ", \"pipeline_depth_peak\": " << server_.pipeline_depth_peak
-      << ", \"bytes_saved_vs_json\": " << server_.bytes_saved_vs_json
       << ", \"batches\": " << server_.batches
       << ", \"batch_items\": " << server_.batch_items
       << ", \"batch_max\": " << server_.batch_max << "},\n";

@@ -66,17 +66,12 @@ struct ServerStats {
   uint64_t protocol_errors = 0;    // malformed or oversized frames
   uint64_t idle_closed = 0;        // connections reaped by the idle sweep
   int64_t queue_depth_peak = 0;    // admission-queue high-water mark
-  // v4 serving-path counters.
+  // Serving-path counters.
   uint64_t json_requests = 0;      // frames decoded from the JSON codec
   uint64_t binary_requests = 0;    // frames decoded from the binary codec
   // Largest number of requests in flight on any single connection —
   // the observed pipelining depth.
   int64_t pipeline_depth_peak = 0;
-  // Estimated bytes the binary codec saved vs. encoding the same
-  // responses as JSON. Sampled: one binary reply per
-  // Server::kBytesSavedSampleStride (currently 256) is also JSON-encoded
-  // and the delta extrapolated by the stride.
-  uint64_t bytes_saved_vs_json = 0;
   uint64_t batches = 0;            // compile_batch requests served
   uint64_t batch_items = 0;        // files carried by those batches
   uint64_t batch_max = 0;          // largest single batch

@@ -20,11 +20,14 @@
 #include "obs/histogram.h"
 #include "obs/trace.h"
 #include "suite/suite.h"
+#include "tests/net_corpus.h"
 
 namespace ap {
 namespace {
 
 namespace fs = std::filesystem;
+using net_corpus::nondefault_pipeline_options;
+using net_corpus::rich_request;
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -95,28 +98,6 @@ TEST(Framing, EmptyPayloadRoundTrips) {
 // ---------------------------------------------------------------------------
 // Message round-trips
 // ---------------------------------------------------------------------------
-
-driver::PipelineOptions nondefault_pipeline_options() {
-  driver::PipelineOptions o;
-  o.config = driver::InlineConfig::Conventional;
-  o.par.min_trip = 7;
-  o.par.normalize = false;
-  o.par.mark_nested = true;
-  o.par.use_banerjee = false;
-  o.par.use_siv_refinement = false;
-  o.par.collect_all_blockers = true;
-  o.conv.max_stmts = 99;
-  o.conv.max_callee_calls = 3;
-  o.conv.require_in_loop = false;
-  o.conv.eliminate_dead_units = false;
-  o.conv.max_passes = 5;
-  o.annot.require_in_loop = false;
-  o.reverse.tolerate_reordering = false;
-  o.reverse.tolerate_forward_subst = false;
-  o.reverse.tolerate_literals = false;
-  o.reverse.fallback_to_hints = false;
-  return o;
-}
 
 TEST(Protocol, RequestRoundTripPreservesEveryField) {
   for (auto type : {net::RequestType::Compile, net::RequestType::Run,
@@ -284,17 +265,12 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   EXPECT_EQ(back.attempt, 2);
   EXPECT_EQ(back.source, fwd.source);
 
-  // v3-only types are flagged, v1/v2 types are not.
-  EXPECT_TRUE(net::request_type_requires_v3(net::RequestType::Forward));
-  EXPECT_TRUE(net::request_type_requires_v3(net::RequestType::CacheProbe));
-  EXPECT_FALSE(net::request_type_requires_v3(net::RequestType::Compile));
-  EXPECT_FALSE(net::request_type_requires_v3(net::RequestType::Hello));
-
-  // response: hello block, probe hit payload, and the peer list.
+  // response: hello block, probe hit payload, and the peer list. The
+  // hello version is always sent, so even a foreign one survives.
   net::Response resp;
   resp.status = net::Status::Ok;
   resp.has_hello = true;
-  resp.hello = {1, 3, "coordinator", true};
+  resp.hello = {5, "coordinator", true};
   resp.found = true;
   resp.payload = "serialized result";
   resp.has_peers = true;
@@ -304,8 +280,7 @@ TEST(Protocol, FleetMessagesRoundTrip) {
       net::response_from_json(net::response_to_json(resp), &rback, &err))
       << err;
   ASSERT_TRUE(rback.has_hello);
-  EXPECT_EQ(rback.hello.min_version, 1);
-  EXPECT_EQ(rback.hello.max_version, 3);
+  EXPECT_EQ(rback.hello.version, 5);
   EXPECT_EQ(rback.hello.role, "coordinator");
   EXPECT_TRUE(rback.hello.draining);
   EXPECT_TRUE(rback.found);
@@ -316,9 +291,10 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   EXPECT_EQ(rback.peers[1].port, 2);
 }
 
-// v6 unit-artifact messages: unit_probe/unit_fill carry the same hex key
+// Unit-artifact messages: unit_probe/unit_fill carry the same hex key
 // shape as the whole-result tier plus the boundary label, and the payload
-// stays byte-exact (it is an opaque pass snapshot).
+// stays byte-exact (it is an opaque pass snapshot). Like every request,
+// they decode only under the one protocol version.
 TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
   net::Request probe;
   probe.type = net::RequestType::UnitProbe;
@@ -345,13 +321,17 @@ TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
   EXPECT_EQ(back.boundary, "normalize");
   EXPECT_EQ(back.payload, fill.payload);
 
-  // The version predicate: exactly the unit types are v6-gated (they are
-  // also fleet types, so the v3 gate catches truly ancient claims first).
-  EXPECT_TRUE(net::request_type_requires_v6(net::RequestType::UnitProbe));
-  EXPECT_TRUE(net::request_type_requires_v6(net::RequestType::UnitFill));
-  EXPECT_FALSE(net::request_type_requires_v6(net::RequestType::CacheProbe));
-  EXPECT_FALSE(net::request_type_requires_v6(net::RequestType::Stats));
-  EXPECT_FALSE(net::request_type_requires_v6(net::RequestType::Compile));
+  // A unit probe claiming an older version is a version error in both
+  // codecs.
+  probe.version = net::kProtocolVersion - 1;
+  const std::string claim = "version " + std::to_string(probe.version);
+  EXPECT_FALSE(
+      net::request_from_json(net::request_to_json(probe), &back, &err));
+  EXPECT_NE(err.find(claim), std::string::npos) << err;
+  err.clear();
+  EXPECT_FALSE(net::decode_request_binary(net::encode_request_binary(probe),
+                                          &back, &err));
+  EXPECT_NE(err.find(claim), std::string::npos) << err;
 
   // A probe hit response is the same found/payload shape the result tier
   // uses — byte-exact through both codecs.
@@ -381,13 +361,59 @@ TEST(Protocol, RejectsWrongVersionAndMissingFields) {
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
   EXPECT_NE(err.find("version"), std::string::npos);
 
-  doc = json::parse(R"({"v": 1, "type": "compile", "id": 1})");
+  // No "v" at all is no claim to the version this build speaks.
+  doc = json::parse(R"({"type": "ping", "id": 1})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
+  EXPECT_NE(err.find("version"), std::string::npos);
+
+  doc = json::parse(R"({"v": 6, "type": "compile", "id": 1})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
+  EXPECT_NE(err.find("source"), std::string::npos);
+
+  doc = json::parse(R"({"v": 6, "type": "nonsense", "id": 1})");
   ASSERT_TRUE(doc.has_value());
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
 
-  doc = json::parse(R"({"v": 1, "type": "nonsense", "id": 1})");
+  doc = json::parse(R"({"v": 6, "type": "ping", "id": "one"})");
   ASSERT_TRUE(doc.has_value());
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
+}
+
+// A run's interpreter thread count arrives from the network and becomes OS
+// threads in the daemon, so both decoders bound it (checked at decode time
+// only: nothing here starts a thread).
+TEST(Protocol, RunThreadCountIsBoundedAtDecode) {
+  for (auto type : {net::RequestType::Run, net::RequestType::Forward}) {
+    net::Request r = rich_request(type);
+    for (int threads : {1 << 20, net::kMaxRunThreads + 1, 0}) {
+      r.interp.num_threads = threads;
+      net::Request back;
+      std::string err;
+      EXPECT_FALSE(net::request_from_json(net::request_to_json(r), &back, &err))
+          << threads;
+      EXPECT_NE(err.find(std::to_string(net::kMaxRunThreads)),
+                std::string::npos)
+          << err;
+      err.clear();
+      EXPECT_FALSE(net::decode_request_binary(net::encode_request_binary(r),
+                                              &back, &err))
+          << threads;
+      EXPECT_NE(err.find(std::to_string(net::kMaxRunThreads)),
+                std::string::npos)
+          << err;
+    }
+    r.interp.num_threads = net::kMaxRunThreads;
+    net::Request back;
+    std::string err;
+    EXPECT_TRUE(net::request_from_json(net::request_to_json(r), &back, &err))
+        << err;
+    EXPECT_TRUE(net::decode_request_binary(net::encode_request_binary(r),
+                                           &back, &err))
+        << err;
+    EXPECT_EQ(back.interp.num_threads, net::kMaxRunThreads);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -559,7 +585,7 @@ TEST(Server, WellFormedFrameBadRequestDrawsProtocolError) {
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-  ASSERT_TRUE(client.send_frame(R"({"v": 1, "type": "compile"})", &err));
+  ASSERT_TRUE(client.send_frame(R"({"v": 6, "type": "compile"})", &err));
   auto payload = client.recv_frame(&err);
   ASSERT_TRUE(payload.has_value()) << err;
   auto doc = json::parse(*payload);
@@ -571,7 +597,18 @@ TEST(Server, WellFormedFrameBadRequestDrawsProtocolError) {
 
 TEST(Server, HalfOpenDisconnectMidRequestLeaksNoFd) {
   LiveServer live;
-  int fds_before = open_fd_count();
+  // Baseline after one full round trip, so whatever the server sets up on
+  // its first connection is counted on both sides of the comparison. The
+  // pinging client stays open to the end.
+  net::Client pinger;
+  std::string perr;
+  ASSERT_TRUE(pinger.connect(live.server.port(), &perr, 30'000)) << perr;
+  net::Request ping;
+  ping.type = net::RequestType::Ping;
+  net::Response pong;
+  ASSERT_TRUE(pinger.call(std::move(ping), &pong, &perr)) << perr;
+  ASSERT_EQ(pong.status, net::Status::Ok);
+  const int fds_before = open_fd_count();
   for (int round = 0; round < 3; ++round) {
     net::Client client;
     std::string err;
@@ -584,10 +621,20 @@ TEST(Server, HalfOpenDisconnectMidRequestLeaksNoFd) {
         std::string_view(frame).substr(0, frame.size() / 2), &err));
     client.close();  // disconnect mid-request
   }
-  // Give the loop a moment to reap the closed sockets.
-  for (int i = 0; i < 50; ++i) {
-    if (open_fd_count() <= fds_before) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The loop accepts and reaps the closed sockets whenever it is next
+  // scheduled, which can take a while on a loaded host. A count read
+  // before the accepts would already look settled, so first wait for all
+  // four connections to be accepted, then (bounded) until the count is
+  // back at the baseline on two consecutive reads.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (live.server.stats().connections < 4 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(live.server.stats().connections, 4u);
+  int settled = 0;
+  while (settled < 2 && std::chrono::steady_clock::now() < deadline) {
+    settled = open_fd_count() <= fds_before ? settled + 1 : 0;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_LE(open_fd_count(), fds_before);
 
@@ -642,6 +689,9 @@ TEST(Server, OverloadDrawsStructuredRejection) {
 TEST(Server, DeadlineExceededWhileRunning) {
   net::ServerOptions opts;
   opts.threads = 1;
+  // Only the spin run carries a deadline: the follow-up compile queues
+  // behind it, which under ASan takes about the default 30 s.
+  opts.request_timeout_ms = 0;
   LiveServer live(opts);
   net::Client client;
   std::string err;
@@ -664,6 +714,9 @@ TEST(Server, DrainRejectsNewWorkAndFinishesAccepted) {
   net::ServerOptions opts;
   opts.threads = 1;
   opts.request_timeout_ms = 0;
+  // No hard drain bound: the accepted spin run must be answered however
+  // long it takes, and under ASan it takes about the default 30 s.
+  opts.drain_timeout_ms = 0;
   LiveServer live(opts);
   net::Client client;
   std::string err;
@@ -698,8 +751,7 @@ TEST(Server, HelloAnswersVersionNegotiation) {
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
   net::HelloInfo info;
   ASSERT_TRUE(client.hello(&info, &err)) << err;
-  EXPECT_EQ(info.min_version, net::kMinProtocolVersion);
-  EXPECT_EQ(info.max_version, net::kProtocolVersion);
+  EXPECT_EQ(info.version, net::kProtocolVersion);
   EXPECT_EQ(info.role, "single");
   EXPECT_FALSE(info.draining);
 
@@ -717,7 +769,7 @@ TEST(Server, HelloAnswersVersionNegotiation) {
   EXPECT_EQ(resp.status, net::Status::Ok);
   EXPECT_EQ(resp.id, 7);
   ASSERT_TRUE(resp.has_hello);
-  EXPECT_EQ(resp.hello.max_version, net::kProtocolVersion);
+  EXPECT_EQ(resp.hello.version, net::kProtocolVersion);
 }
 
 TEST(Server, UnsupportedVersionIsStructuredAndNonFatal) {
@@ -726,7 +778,7 @@ TEST(Server, UnsupportedVersionIsStructuredAndNonFatal) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
 
-  // A version outside the supported range draws unsupported_version (not
+  // A version this build does not speak draws unsupported_version (not
   // protocol_error) and the connection survives for a retry after
   // renegotiation.
   ASSERT_TRUE(client.send_frame(R"({"v": 99, "type": "ping", "id": 1})", &err))
@@ -746,8 +798,8 @@ TEST(Server, UnsupportedVersionIsStructuredAndNonFatal) {
   ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Ok);
 
-  // Fleet-only message types under a pre-fleet version are a version
-  // problem too, not a protocol error.
+  // Any other type under another version is a version problem too, not a
+  // protocol error.
   ASSERT_TRUE(client.send_frame(
       R"({"v": 1, "type": "cache_probe", "id": 2, "key": "0000000000000001"})",
       &err))
@@ -758,19 +810,22 @@ TEST(Server, UnsupportedVersionIsStructuredAndNonFatal) {
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
+  EXPECT_EQ(resp.id, 2);
   EXPECT_EQ(live.server.stats().protocol_errors, 0u);
 }
 
-// unit_probe/unit_fill are v6-gated at the server front door, and on a
-// non-fleet server a correctly-versioned probe draws a structured error
-// (not a crash, not a protocol error) — the connection survives both.
+// unit_probe/unit_fill are version-gated at the server front door like
+// every request, and on a non-fleet server a correctly-versioned probe
+// draws a structured error (not a crash, not a protocol error) — the
+// connection survives both.
 TEST(Server, UnitProbeIsVersionGatedAndStructuredWithoutFleet) {
   LiveServer live;
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
 
-  // A v5 client naming a v6 type: unsupported_version, connection stays.
+  // A v5 claim: unsupported_version, naming the version spoken here; the
+  // connection stays.
   ASSERT_TRUE(client.send_frame(
       R"({"v": 5, "type": "unit_probe", "id": 4, "key": "00000000000000aa"})",
       &err))
@@ -784,7 +839,8 @@ TEST(Server, UnitProbeIsVersionGatedAndStructuredWithoutFleet) {
   EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
   EXPECT_NE(resp.error.find("v6"), std::string::npos);
 
-  // Proper v6 probe against a single (non-fleet) server: structured error.
+  // A well-versioned probe against a single (non-fleet) server: a
+  // structured error.
   net::Request probe;
   probe.type = net::RequestType::UnitProbe;
   probe.key = net::format_key(0xaa);
@@ -842,93 +898,11 @@ TEST(Server, IdleConnectionsAreReaped) {
 }
 
 // ---------------------------------------------------------------------------
-// Binary codec (v4): equivalence against JSON, hostile frames
+// Binary codec: equivalence against JSON, hostile frames
 // ---------------------------------------------------------------------------
 
-// A request of the given type with every type-relevant field populated
-// with non-default values — so a codec that drops a field cannot pass.
-net::Request rich_request(net::RequestType type) {
-  net::Request r;
-  r.type = type;
-  r.id = 7741;
-  switch (type) {
-    case net::RequestType::Metrics:
-    case net::RequestType::Ping:
-    case net::RequestType::Hello:
-    case net::RequestType::Stats:
-      break;
-    case net::RequestType::Compile:
-    case net::RequestType::Run:
-    case net::RequestType::Forward:
-      r.name = "APP \"quoted\" \xc3\xa9";
-      r.source = "      PROGRAM X\n      END\n";
-      r.annotations = "inline matmlt\n";
-      r.options = nondefault_pipeline_options();
-      r.deadline_ms = 777;
-      if (type != net::RequestType::Compile) {
-        r.interp.num_threads = 3;
-        r.interp.enable_parallel = false;
-        r.interp.max_steps = 1234567;
-        r.interp.check_bounds = false;
-        r.interp.engine = interp::Engine::Tree;
-      }
-      if (type == net::RequestType::Forward) {
-        r.inner = net::RequestType::Run;
-        r.attempt = 2;
-      }
-      break;
-    case net::RequestType::Register:
-      r.worker = {"w-42", "10.1.2.3", 9001};
-      break;
-    case net::RequestType::Heartbeat:
-      r.worker = {"w-42", "10.1.2.3", 9001};
-      r.load = {4, 2, 17, 10, 7, 3, ""};
-      r.leaving = true;
-      break;
-    case net::RequestType::CacheProbe:
-      r.key = net::format_key(0xdeadbeefcafef00dull);
-      break;
-    case net::RequestType::CacheFill:
-      r.key = net::format_key(0x0123456789abcdefull);
-      r.payload = "opaque\nresult\tbytes ";
-      r.payload.push_back('\xff');  // opaque payloads are byte-exact
-      r.payload += " included";
-      break;
-    case net::RequestType::CompileBatch: {
-      net::BatchItem a;
-      a.name = "ONE";
-      a.source = "      PROGRAM ONE\n      END\n";
-      a.annotations = "inline foo\n";
-      a.options = nondefault_pipeline_options();
-      net::BatchItem b;
-      b.name = "TWO";
-      b.source = "      PROGRAM TWO\n      END\n";
-      r.batch = {std::move(a), std::move(b)};
-      break;
-    }
-    case net::RequestType::UnitProbe:
-      r.key = net::format_key(0xfeedface00c0ffeeull);
-      break;
-    case net::RequestType::UnitFill:
-      r.key = net::format_key(0xfeedface00c0ffeeull);
-      r.boundary = "parallelize";
-      r.payload = "APUNIT 2\nopaque ";
-      r.payload.push_back('\0');  // unit payloads are byte-exact too
-      r.payload += "bytes";
-      break;
-  }
-  return r;
-}
-
 TEST(Binary, RequestRoundTripMatchesJsonForEveryType) {
-  for (auto type :
-       {net::RequestType::Compile, net::RequestType::Run,
-        net::RequestType::Metrics, net::RequestType::Ping,
-        net::RequestType::Hello, net::RequestType::Register,
-        net::RequestType::Heartbeat, net::RequestType::CacheProbe,
-        net::RequestType::CacheFill, net::RequestType::Forward,
-        net::RequestType::CompileBatch, net::RequestType::Stats,
-        net::RequestType::UnitProbe, net::RequestType::UnitFill}) {
+  for (auto type : net_corpus::kAllRequestTypes) {
     net::Request r = rich_request(type);
     std::string bin = net::encode_request_binary(r);
     ASSERT_TRUE(net::is_binary_frame(bin));
@@ -957,90 +931,7 @@ TEST(Binary, RequestRoundTripMatchesJsonForEveryType) {
 }
 
 TEST(Binary, ResponseRoundTripMatchesJsonForEveryShape) {
-  std::vector<net::Response> shapes;
-
-  // Every status with an error string.
-  for (auto status :
-       {net::Status::Ok, net::Status::Error, net::Status::Overloaded,
-        net::Status::DeadlineExceeded, net::Status::UnsupportedVersion,
-        net::Status::WorkerLost, net::Status::ProtocolError}) {
-    net::Response r;
-    r.id = 9;
-    r.status = status;
-    r.error = "reason\nwith newline";
-    shapes.push_back(std::move(r));
-  }
-
-  // Compile + run payloads, timing records included.
-  {
-    net::Response r;
-    r.id = 10;
-    r.has_result = true;
-    r.result.ok = true;
-    r.result.parallel_loops = {3, 17, 42};
-    r.result.code_lines = 120;
-    r.result.dep_tests = 55;
-    r.result.dep_tests_unique = 33;
-    r.result.peer_hit = true;
-    r.result.unit_hits = 7;
-    r.result.unit_misses = 2;
-    r.result.unit_invalidated = 1;
-    r.result.program_text = "      PROGRAM X\n      END\n";
-    r.result.print_dump = "after pass dump";
-    r.result.stopped_early = true;
-    r.result.timings.total_ms = 12.5;
-    r.result.timings.passes = {{"parse", 1.5, 0, 2}, {"parallelize", 9.25, 4, 0}};
-    r.has_run = true;
-    r.run.ok = true;
-    r.run.stopped = true;
-    r.run.stop_message = "STOP 7";
-    r.run.output = "CHECKSUM 1.5\n";
-    r.run.statements = 1000;
-    r.run.statements_parallel = 900;
-    r.run.instructions = 5000;
-    r.run.wall_ms = 1.25;
-    shapes.push_back(std::move(r));
-  }
-
-  // Hello + peers + probe hit.
-  {
-    net::Response r;
-    r.id = 11;
-    r.has_hello = true;
-    r.hello = {1, 4, "coordinator", true, true};
-    r.found = true;
-    r.payload = "serialized result";
-    r.has_peers = true;
-    r.peers = {{"a", "10.0.0.1", 1}, {"b", "10.0.0.2", 2}};
-    shapes.push_back(std::move(r));
-  }
-
-  // Metrics object (carried as embedded JSON).
-  {
-    net::Response r;
-    r.id = 12;
-    json::Value m = json::Value::object();
-    m.set("depth", static_cast<int64_t>(3)).set("label", std::string("x"));
-    r.metrics = std::move(m);
-    shapes.push_back(std::move(r));
-  }
-
-  // Batch results with a per-item failure.
-  {
-    net::Response r;
-    r.id = 13;
-    r.has_batch = true;
-    service::CompileResult good;
-    good.ok = true;
-    good.parallel_loops = {10};
-    good.program_text = "      PROGRAM A\n      END\n";
-    service::CompileResult bad;
-    bad.ok = false;
-    bad.error = "parse error: unexpected token";
-    r.batch = {std::move(good), std::move(bad)};
-    shapes.push_back(std::move(r));
-  }
-
+  std::vector<net::Response> shapes = net_corpus::response_shapes();
   for (size_t i = 0; i < shapes.size(); ++i) {
     std::string bin = net::encode_response_binary(shapes[i]);
     ASSERT_TRUE(net::is_binary_frame(bin));
@@ -1118,7 +1009,7 @@ TEST(Server, NegotiateSwitchesToBinaryAndServes) {
   net::HelloInfo info;
   ASSERT_TRUE(client.negotiate(&err, &info)) << err;
   EXPECT_TRUE(info.binary);
-  EXPECT_GE(info.max_version, 4);
+  EXPECT_EQ(info.version, net::kProtocolVersion);
   EXPECT_TRUE(client.binary());
 
   // Binary compile, then the warm hit — both full round trips.
@@ -1198,42 +1089,12 @@ TEST(Server, CompileBatchAnswersPerItem) {
   EXPECT_EQ(stats.batch_max, 2u);
 }
 
-TEST(Server, CompileBatchUnderV3DrawsUnsupportedVersion) {
-  LiveServer live;
-  net::Client client;
-  std::string err;
-  ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-
-  // A v3 JSON client sending the v4-only type: a version problem, not a
-  // protocol error, and the connection survives.
-  net::Request req;
-  req.type = net::RequestType::CompileBatch;
-  req.id = 21;
-  req.version = 3;
-  net::BatchItem item;
-  item.source = quick_app().source;
-  req.batch = {std::move(item)};
-  ASSERT_TRUE(client.send_frame(net::request_to_json(req).dump(), &err)) << err;
-
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
-  net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
-  EXPECT_EQ(resp.id, 21);
-
-  net::Request ping;
-  ping.type = net::RequestType::Ping;
-  ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::Ok);
-  EXPECT_EQ(live.server.stats().protocol_errors, 0u);
-}
-
 TEST(Server, PipelinedResponsesReturnOutOfOrder) {
   net::ServerOptions opts;
   opts.threads = 2;  // both requests must run concurrently
+  // No default deadline: under ASan the spin run takes about the default
+  // 30 s, and this test is about ordering, not deadlines.
+  opts.request_timeout_ms = 0;
   LiveServer live(opts);
   net::Client client;
   std::string err;
@@ -1336,7 +1197,7 @@ TEST(Channel, ConcurrentCallsMultiplexOneConnection) {
 }
 
 // ---------------------------------------------------------------------------
-// v5 observability plane
+// Observability plane
 // ---------------------------------------------------------------------------
 
 TEST(Protocol, TraceAndStatsFieldsRoundTripBothCodecs) {
@@ -1376,16 +1237,12 @@ TEST(Protocol, TraceAndStatsFieldsRoundTripBothCodecs) {
       << err;
   EXPECT_EQ(net::request_to_json(back).dump(), net::request_to_json(hb).dump());
 
-  // The stats type round-trips and is v5-gated; v4 types are not.
+  // The stats type round-trips.
   net::Request stats;
   stats.type = net::RequestType::Stats;
   ASSERT_TRUE(net::request_from_json(net::request_to_json(stats), &back, &err))
       << err;
   EXPECT_EQ(back.type, net::RequestType::Stats);
-  EXPECT_TRUE(net::request_type_requires_v5(net::RequestType::Stats));
-  EXPECT_FALSE(net::request_type_requires_v5(net::RequestType::Compile));
-  EXPECT_FALSE(net::request_type_requires_v5(net::RequestType::CompileBatch));
-  EXPECT_FALSE(net::request_type_requires_v5(net::RequestType::Forward));
 
   // A response span tree survives both codecs.
   net::Response resp;
@@ -1407,41 +1264,10 @@ TEST(Protocol, TraceAndStatsFieldsRoundTripBothCodecs) {
   EXPECT_EQ(net::response_to_json(rback).dump(),
             net::response_to_json(resp).dump());
 
-  // An untraced response carries no trace member at all (pre-v5 clients
-  // never see an unknown key).
+  // An untraced response carries no trace member at all.
   net::Response plain;
   plain.id = 8;
   EXPECT_EQ(net::response_to_json(plain).find("trace"), nullptr);
-}
-
-TEST(Server, StatsUnderV4DrawsUnsupportedVersion) {
-  LiveServer live;
-  net::Client client;
-  std::string err;
-  ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-
-  // A v4 client sending the v5-only stats poll: a version problem, not a
-  // protocol error, and the connection survives.
-  net::Request req;
-  req.type = net::RequestType::Stats;
-  req.id = 31;
-  req.version = 4;
-  ASSERT_TRUE(client.send_frame(net::request_to_json(req).dump(), &err)) << err;
-
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
-  net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
-  EXPECT_EQ(resp.id, 31);
-
-  net::Request ping;
-  ping.type = net::RequestType::Ping;
-  ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::Ok);
-  EXPECT_EQ(live.server.stats().protocol_errors, 0u);
 }
 
 TEST(Server, StatsAnswersLiveHistograms) {
