@@ -70,6 +70,11 @@ class UnitCompiler {
   };
   std::vector<LoopCtx> loops_;
 
+  // While a lane body compiles: slot -> lane cell / private array index,
+  // -1 where the slot stays shared.
+  bool in_lane_ = false;
+  std::vector<int32_t> lane_cell_, lane_array_;
+
   std::map<std::pair<uint64_t, bool>, int32_t> const_ids_;
   std::map<std::string, int32_t> string_ids_;
 
@@ -139,6 +144,29 @@ class UnitCompiler {
   int32_t find_array(const std::string& n) const {
     auto it = array_slots_.find(n);
     return it == array_slots_.end() ? -1 : it->second;
+  }
+
+  static int32_t lane_index(const std::vector<int32_t>& map, int32_t slot) {
+    return slot >= 0 && static_cast<size_t>(slot) < map.size()
+               ? map[static_cast<size_t>(slot)]
+               : -1;
+  }
+  int32_t lane_cell(int32_t slot) const {
+    return in_lane_ ? lane_index(lane_cell_, slot) : -1;
+  }
+  int32_t lane_array(int32_t slot) const {
+    return in_lane_ ? lane_index(lane_array_, slot) : -1;
+  }
+
+  // Scalar slot and array element operations, in their lane-private form
+  // when the lane body being compiled privatizes the slot.
+  void emit_scalar(Op op, Op priv_op, int32_t reg, int32_t slot) {
+    int32_t c = lane_cell(slot);
+    emit(c >= 0 ? Insn{priv_op, reg, 0, 0, c} : Insn{op, reg, 0, 0, slot});
+  }
+  void emit_elem(Op op, Op priv_op, int32_t reg, int32_t slot, int32_t desc) {
+    int32_t pa = lane_array(slot);
+    emit(pa >= 0 ? Insn{priv_op, reg, pa, 0, desc} : Insn{op, reg, 0, 0, desc});
   }
 
   // Mirrors Frame::create_local_scalar: made exactly where the tree-walker
@@ -247,6 +275,10 @@ class UnitCompiler {
       array_decl_.push_back(&d);
       array_dims_compiled_.push_back(false);
     }
+    // Slots made later (create_scalar) are always local.
+    for (size_t i = 0; i < cu_.scalars.size(); ++i)
+      if (cu_.scalars[i].kind == ScalarKind::Common)
+        cu_.common_scalars.push_back(static_cast<int32_t>(i));
   }
 
   // ---- prologue -----------------------------------------------------------
@@ -343,7 +375,7 @@ class UnitCompiler {
         int32_t desc = compile_access(e);
         if (desc < 0) return Operand::constant(RtVal::integer(0));
         int32_t r = alloc_reg();
-        emit({Op::LoadElem, r, 0, 0, desc});
+        emit_elem(Op::LoadElem, Op::LoadPrivElem, r, find_array(e.name), desc);
         return Operand::in_reg(r);
       }
       case ExprKind::Unary: {
@@ -387,7 +419,7 @@ class UnitCompiler {
       slot = create_scalar(e.name);
     }
     int32_t r = alloc_reg();
-    emit({Op::LoadScalar, r, 0, 0, slot});
+    emit_scalar(Op::LoadScalar, Op::LoadPriv, r, slot);
     return Operand::in_reg(r);
   }
 
@@ -624,7 +656,7 @@ class UnitCompiler {
         }
         slot = create_scalar(lhs.name);
       }
-      emit({Op::StoreScalar, materialize(v), 0, 0, slot});
+      emit_scalar(Op::StoreScalar, Op::StorePriv, materialize(v), slot);
       return;
     }
     if (lhs.kind == fir::ExprKind::ArrayRef) {
@@ -635,7 +667,8 @@ class UnitCompiler {
       int32_t src = materialize(v);
       int32_t desc = compile_access(lhs);
       if (desc < 0) return;
-      emit({Op::StoreElem, src, 0, 0, desc});
+      emit_elem(Op::StoreElem, Op::StorePrivElem, src, find_array(lhs.name),
+                desc);
       return;
     }
     error_op("unsupported assignment target");
@@ -690,7 +723,11 @@ class UnitCompiler {
     if (iv < 0) iv = create_scalar(s.do_var);
 
     int32_t pardo = -1;
-    if (s.omp.parallel) {
+    if (s.omp.parallel && in_lane_) {
+      // Inside a region a parallel loop runs serially: no plan, no lane
+      // body, the ParDo only falls through.
+      emit({Op::ParDo, r_i, r_hi, r_step, -1});
+    } else if (s.omp.parallel) {
       pardo = static_cast<int32_t>(cu_.pardos.size());
       cu_.pardos.emplace_back();
       emit({Op::ParDo, r_i, r_hi, r_step, pardo});
@@ -698,21 +735,19 @@ class UnitCompiler {
 
     int32_t head = here();
     size_t test = emit({Op::LoopTest, r_i, r_hi, r_step, 0});
-    emit({Op::StoreRaw, r_i, 0, 0, iv});
+    emit_scalar(Op::StoreRaw, Op::StoreRawPriv, r_i, iv);
     int32_t body_start = here();
+    int32_t body_reg = next_reg_;
     loops_.push_back({body_start, s.omp.parallel});
     for (const auto& st : s.body)
       if (st) compile_stmt(*st);
     loops_.pop_back();
-    int32_t body_end = here();
     emit({Op::LoopNext, r_i, 0, r_step, head});
     int32_t exit = here();
     at(test).d = exit;
 
     if (pardo >= 0) {
       ParDoPlan& plan = cu_.pardos[static_cast<size_t>(pardo)];
-      plan.body_start = body_start;
-      plan.body_end = body_end;
       plan.exit_pc = exit;
       plan.iv_slot = iv;
       for (const auto& p : s.omp.privates) {
@@ -741,7 +776,50 @@ class UnitCompiler {
                                   : RedOp::Sum;
         plan.reductions.push_back(spec);
       }
+      compile_lane_body(s, plan, body_reg);
     }
+  }
+
+  // Compile the body of parallel loop `s` a second time, into lane_code,
+  // with the plan's private, reduction and loop-variable slots redirected
+  // to lane cells. Same statements, same registers, same instruction
+  // count per iteration as the serial body: only the addressing differs.
+  // `plan` stays valid: a lane body makes no plans.
+  void compile_lane_body(const fir::Stmt& s, ParDoPlan& plan,
+                         int32_t body_reg) {
+    lane_cell_.assign(cu_.scalars.size(), -1);
+    lane_array_.assign(cu_.arrays.size(), -1);
+    int32_t cells = 0, arrays = 0;
+    for (PrivateSpec& p : plan.privates) {
+      p.cell = p.is_array ? arrays++ : cells++;
+      (p.is_array ? lane_array_ : lane_cell_)[static_cast<size_t>(p.slot)] =
+          p.cell;
+    }
+    for (ReductionSpec& r : plan.reductions) {
+      r.cell = cells++;
+      lane_cell_[static_cast<size_t>(r.slot)] = r.cell;
+    }
+    plan.iv_cell = cells++;
+    lane_cell_[static_cast<size_t>(plan.iv_slot)] = plan.iv_cell;
+    plan.num_cells = cells;
+    plan.num_arrays = arrays;
+    for (PrivateSpec& p : plan.privates)
+      if (!p.is_array) p.live = lane_cell_[static_cast<size_t>(p.slot)];
+    for (ReductionSpec& r : plan.reductions)
+      r.live = lane_cell_[static_cast<size_t>(r.slot)];
+
+    std::vector<Insn>* saved = out_;
+    out_ = &cu_.lane_code;
+    next_reg_ = body_reg;
+    in_lane_ = true;
+    plan.lane_start = here();
+    loops_.push_back({plan.lane_start, true});
+    for (const auto& st : s.body)
+      if (st) compile_stmt(*st);
+    loops_.pop_back();
+    plan.lane_end = here();
+    in_lane_ = false;
+    out_ = saved;
   }
 
   void compile_call(const fir::Stmt& s) {
@@ -772,7 +850,7 @@ class UnitCompiler {
             return;
           }
           arg.kind = ArgKind::ArrayWhole;
-          arg.slot = aslot;
+          lane_array_arg(arg, aslot);
         } else if (actual.kind == fir::ExprKind::ArrayRef) {
           int32_t aslot = find_array(actual.name);
           if (aslot < 0) {
@@ -782,9 +860,9 @@ class UnitCompiler {
           int32_t desc = compile_access(actual);
           if (desc < 0) return;
           int32_t addr = alloc_reg();
-          emit({Op::Addr, addr, 0, 0, desc});
+          emit_elem(Op::Addr, Op::AddrPriv, addr, aslot, desc);
           arg.kind = ArgKind::ArrayElem;
-          arg.slot = aslot;
+          lane_array_arg(arg, aslot);
           arg.reg = addr;
         } else {
           error_op("cannot pass expression to array formal " + formal);
@@ -795,7 +873,9 @@ class UnitCompiler {
           int32_t slot = find_scalar(actual.name);
           if (slot < 0) slot = create_scalar(actual.name);
           arg.kind = ArgKind::ScalarPtr;
-          arg.slot = slot;
+          int32_t c = lane_cell(slot);
+          arg.slot = c >= 0 ? c : slot;
+          arg.priv = c >= 0;
         } else if (actual.kind == fir::ExprKind::ArrayRef) {
           int32_t aslot = find_array(actual.name);
           if (aslot < 0) {
@@ -805,9 +885,9 @@ class UnitCompiler {
           int32_t desc = compile_access(actual);
           if (desc < 0) return;
           int32_t addr = alloc_reg();
-          emit({Op::Addr, addr, 0, 0, desc});
+          emit_elem(Op::Addr, Op::AddrPriv, addr, aslot, desc);
           arg.kind = ArgKind::ScalarElem;
-          arg.slot = aslot;
+          lane_array_arg(arg, aslot);
           arg.reg = addr;
         } else {
           Operand v = compile_expr(actual);
@@ -820,6 +900,12 @@ class UnitCompiler {
     int32_t id = static_cast<int32_t>(cu_.calls.size());
     cu_.calls.push_back(std::move(plan));
     emit({Op::Call, 0, 0, 0, id});
+  }
+
+  void lane_array_arg(CallArg& arg, int32_t aslot) const {
+    int32_t pa = lane_array(aslot);
+    arg.slot = pa >= 0 ? pa : aslot;
+    arg.priv = pa >= 0;
   }
 
   void compile_write(const fir::Stmt& s) {

@@ -14,6 +14,10 @@
 //     immediates, column-major strides live in the frame's array record),
 //   * constant subexpressions are folded at compile time using the SAME
 //     helpers the executor runs, so folding can never change a result,
+//   * every OMP-parallel loop body is compiled a second time, as a lane
+//     body, with its PRIVATE, REDUCTION and loop-variable references
+//     redirected to a lane's own cells, so entering a region costs
+//     O(privates), not a copy of the encountering frame,
 //   * control flow is explicit jumps — no recursion in the executor.
 //
 // Semantics must mirror interp.cpp bit-for-bit: every runtime error message,
@@ -150,8 +154,17 @@ enum class Op : uint8_t {
   Stop,         // throw RtStop{strings[d]}
   Error,        // throw RtError{strings[d]}
   ReturnInDo,   // RETURN inside a DO loop; d = body_start of the enclosing
-                // loop, c = 1 when that loop is the OMP-parallel candidate
+                // loop (in a lane body, lane_start for the parallel loop
+                // itself), c = 1 when that loop is the OMP-parallel candidate
   Ret,          // return from the unit
+  // Lane bodies only (CompiledUnit::lane_code): the same operations on the
+  // running lane's private cells and private array records.
+  LoadPriv,       // r[a] = {lane.cells[d], lane.cell_int[d]}
+  StorePriv,      // lane.cells[d] = r[a], truncated when the cell is INTEGER
+  StoreRawPriv,   // lane.cells[d] = r[a].v verbatim (nested DO variable)
+  LoadPrivElem,   // LoadElem through private array b
+  StorePrivElem,  // StoreElem through private array b
+  AddrPriv,       // Addr through private array b
 };
 
 struct Insn {
@@ -236,6 +249,7 @@ struct CallArg {
   ArgKind kind;
   int32_t slot = -1;
   int32_t reg = -1;
+  bool priv = false;  // lane bodies: slot is a private cell / private array
 };
 struct CallPlan {
   int32_t callee = -1;  // unit index
@@ -244,21 +258,34 @@ struct CallPlan {
 
 enum class RedOp : uint8_t { Sum, Prod, Min, Max };
 
+// A lane gets one cell per private scalar, one per reduction and one for
+// the loop variable, in that order, and one array record per private
+// array. A slot named twice (say PRIVATE and REDUCTION) is read and written
+// by the lane body through the last of its cells, its `live` cell.
 struct PrivateSpec {
   bool is_array = false;
   int32_t slot = -1;
   int32_t common_key = -1;  // -1 when not COMMON
+  int32_t cell = -1;        // own cell, or own private array index
+  int32_t live = -1;        // scalars: the lane body's cell for `slot`
 };
 struct ReductionSpec {
   RedOp op;
   int32_t slot = -1;
+  int32_t cell = -1;
+  int32_t live = -1;
 };
 
 struct ParDoPlan {
-  int32_t body_start = 0;  // [body_start, body_end) shared with the serial loop
-  int32_t body_end = 0;
-  int32_t exit_pc = 0;
+  // [lane_start, lane_end) of CompiledUnit::lane_code: the loop body as
+  // each lane runs it.
+  int32_t lane_start = 0;
+  int32_t lane_end = 0;
+  int32_t exit_pc = 0;  // in CompiledUnit::code
   int32_t iv_slot = -1;
+  int32_t iv_cell = -1;
+  int32_t num_cells = 0;
+  int32_t num_arrays = 0;
   std::vector<PrivateSpec> privates;    // in OMP clause order
   std::vector<ReductionSpec> reductions;
 };
@@ -274,8 +301,12 @@ struct CompiledUnit {
   // Registers used here persist for the frame's lifetime (dim values).
   std::vector<Insn> prologue;
   std::vector<Insn> code;  // unit body; ends with Ret
+  std::vector<Insn> lane_code;  // lane bodies of the parallel loops
+  // Registers: every register is written before it is read, so a reused
+  // frame or lane needs no zeroed register file.
   int32_t num_regs = 0;
   std::vector<ScalarSlot> scalars;  // frame cell i backs slot i when local
+  std::vector<int32_t> common_scalars;  // slots of kind Common
   std::vector<ArraySlot> arrays;
   // Formal position -> slot id (-1 when the formal is of the other sort);
   // the Call executor binds arguments through these.
@@ -292,9 +323,9 @@ struct Module {
   std::vector<RtVal> consts;
   std::vector<std::string> strings;
   std::vector<AccessDesc> accesses;
-  // COMMON key table: keys[i] is the "BLOCK/NAME" string; scalar overrides,
-  // array overrides and the lazy global materialization cache are all
-  // indexed by i.
+  // COMMON key table: keys[i] is the "BLOCK/NAME" string. The executor's
+  // privatization overrides and its resolved COMMON cells and stores are
+  // all indexed by i.
   std::vector<std::string> keys;
   std::vector<bool> key_is_int;  // declared type at first sight (globals tag)
 };

@@ -42,6 +42,7 @@ std::optional<int64_t> ArrayView::cell(const std::vector<int64_t>& subs) const {
 std::shared_ptr<ArrayStore> GlobalStore::get_or_create_array(
     const std::string& key, fir::Type type, std::vector<int64_t> lower,
     std::vector<int64_t> extent) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = arrays_.find(key);
   if (it != arrays_.end()) return it->second;
   auto st = std::make_shared<ArrayStore>(type, std::move(lower), std::move(extent));
@@ -50,6 +51,7 @@ std::shared_ptr<ArrayStore> GlobalStore::get_or_create_array(
 }
 
 double* GlobalStore::get_or_create_scalar(const std::string& key, bool is_int) {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = scalars_.find(key);
   if (it != scalars_.end()) return it->second.get();
   auto cell = std::make_unique<double>(0.0);
@@ -60,17 +62,20 @@ double* GlobalStore::get_or_create_scalar(const std::string& key, bool is_int) {
 }
 
 bool GlobalStore::scalar_is_int(const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = scalar_int_.find(key);
   return it != scalar_int_.end() && it->second;
 }
 
 std::map<std::string, std::vector<double>> GlobalStore::snapshot_arrays() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, std::vector<double>> out;
   for (const auto& [k, v] : arrays_) out[k] = v->raw();
   return out;
 }
 
 std::map<std::string, double> GlobalStore::snapshot_scalars() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, double> out;
   for (const auto& [k, v] : scalars_) out[k] = *v;
   return out;

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -80,8 +81,11 @@ struct ScalarRef {
 };
 
 // Global (COMMON) storage shared by all frames and threads. Keyed by
-// "BLOCK/NAME". Creation is single-threaded (program setup); parallel
-// phases only read the map structure.
+// "BLOCK/NAME". Every member is thread-safe: a COMMON block is created on
+// first touch, which can happen inside a parallel region when a CALLed
+// subroutine declares a block the encountering unit lacks. Cells and
+// stores never move once created, so the returned pointers stay valid for
+// the store's lifetime.
 class GlobalStore {
  public:
   std::shared_ptr<ArrayStore> get_or_create_array(const std::string& key,
@@ -96,6 +100,7 @@ class GlobalStore {
   std::map<std::string, double> snapshot_scalars() const;
 
  private:
+  mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<ArrayStore>> arrays_;
   std::map<std::string, std::unique_ptr<double>> scalars_;
   std::map<std::string, bool> scalar_int_;

@@ -16,28 +16,14 @@ namespace ap::interp::bc {
 
 namespace {
 
-// Per-thread execution state. Privatization overrides are dense vectors
-// indexed by the module's COMMON key ids — the slot-indirection replacement
-// for the tree-walker's string-keyed override maps.
-struct VmCtx {
-  std::vector<double*> scalar_ov;
-  std::vector<std::shared_ptr<ArrayStore>> array_ov;
-  bool in_parallel = false;
-  int64_t steps_left = 0;
-  int32_t par_body = -1;  // body_start of the actively chunked loop
-  uint64_t insns = 0;
-
-  void charge() {
-    if (--steps_left <= 0)
-      throw RtError{"statement budget exhausted (runaway loop?)"};
-  }
-};
-
 // Frame-resident array state: the ArrayView equivalent, with the viewer's
 // shape unpacked into fixed arrays so the offset loop never chases vectors.
+// Plain data: `data` points at the start of the underlying store (a frame's
+// local array, a lane's private copy or a GlobalStore array), whose owner
+// outlives every record that points into it, and `size` caches its length.
 struct ArrayRec {
-  std::shared_ptr<ArrayStore> store;
-  double* data = nullptr;
+  double* data = nullptr;  // nullptr: not bound
+  int64_t size = 0;
   int64_t base = 0;
   int32_t rank = 0;
   bool is_int = false;
@@ -47,29 +33,68 @@ struct ArrayRec {
 
 // One frame: cell pointers per scalar slot (locals point into `cells`,
 // COMMONs into the global store or an override, formals wherever the caller
-// bound them) plus one array record per array slot.
+// bound them), one array record per array slot, the backing store of the
+// local arrays and the register file. Frames are reused call after call;
+// see VmCtx::frames.
 struct VmFrame {
   const CompiledUnit* cu = nullptr;
   std::vector<double*> scalar;
   std::vector<uint8_t> scalar_int;
   std::vector<ArrayRec> arrays;
   std::vector<double> cells;  // backing storage, one cell per scalar slot
+  std::vector<std::vector<double>> locals;  // per array slot, when local
+  std::vector<RtVal> regs;
 };
 
-// One ParDo lane's state, kept on the Executor and reused by every region,
-// so a region allocates nothing once the vectors have grown. `ctx` and
-// `shadow` are refreshed from the encountering thread's per region; the
-// rest is what the lane harvests for copy-out and the reduction combine.
+// Per-thread execution state: the main thread's, or one ParDo lane's.
+// Privatization overrides are dense vectors indexed by the module's COMMON
+// key ids — the slot-indirection replacement for the tree-walker's
+// string-keyed override maps. Only lanes set them, and a lane clears the
+// entries it set when its chunk ends, so they are all null between regions.
+struct VmCtx {
+  int64_t steps_left = 0;
+  uint64_t insns = 0;
+  bool in_parallel = false;
+  int32_t par_body = -1;  // lane_start of the actively chunked loop
+  // A lane's private cells and arrays (the Priv instructions' operands).
+  double* priv = nullptr;
+  const uint8_t* priv_int = nullptr;
+  ArrayRec* priv_arr = nullptr;
+  // Call stack by depth: frames[d] serves every call made at depth d, so a
+  // call allocates nothing once the stack and its frames have grown.
+  // Pointers, so a frame stays put while deeper ones are added.
+  std::vector<std::unique_ptr<VmFrame>> frames;
+  size_t depth = 0;
+  std::vector<double*> scalar_ov;
+  std::vector<const ArrayRec*> array_ov;
+
+  void charge() {
+    if (--steps_left <= 0)
+      throw RtError{"statement budget exhausted (runaway loop?)"};
+  }
+};
+
+// Pops the frame pushed by Executor::enter, on return and on a fault.
+struct FrameGuard {
+  VmCtx& ctx;
+  ~FrameGuard() { --ctx.depth; }
+};
+
+// One ParDo lane's state, kept on the Executor and reused by every region.
+// A region sets up only what its plan privatizes: the cells, the private
+// array copies and the override entries of its privates. Only the lane
+// writes here while a region runs; the encountering thread reads `done`,
+// the counters in `ctx` (same cache line) and the cells after the join.
 // Cache-line aligned: `ctx` is written on every instruction, so two lanes
 // must not share a line.
 struct alignas(64) Lane {
+  bool done = false;  // this region's chunk ran to its end
   VmCtx ctx;
-  VmFrame shadow;
   std::vector<double> cells;  // private scalars, reductions, loop variable
+  std::vector<uint8_t> cell_int;
+  std::vector<ArrayRec> arrays;              // per private array
+  std::vector<std::vector<double>> buffers;  // their backing stores
   std::vector<RtVal> regs;
-  std::vector<double> scalar_values;                // per plan.privates
-  std::vector<std::shared_ptr<ArrayStore>> arrays;  // per plan.privates
-  std::vector<double> reductions;                   // per plan.reductions
 };
 
 double red_identity(RedOp op) {
@@ -89,10 +114,17 @@ std::string format_val(RtVal v) {
 class Executor {
  public:
   Executor(const Module& m, const InterpOptions& opts, GlobalStore& globals)
-      : m_(m), opts_(opts), globals_(globals) {
+      : m_(m),
+        opts_(opts),
+        globals_(globals),
+        common_scalars_(
+            std::make_unique<std::atomic<double*>[]>(m.keys.size())),
+        common_arrays_(
+            std::make_unique<std::atomic<ArrayStore*>[]>(m.keys.size())) {
     if (opts_.num_threads > 1 && opts_.enable_parallel) {
       pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
       lanes_.resize(static_cast<size_t>(pool_->size()));
+      for (Lane& L : lanes_) clear_overrides(L.ctx);
     }
   }
 
@@ -105,12 +137,11 @@ class Executor {
     }
     VmCtx ctx;
     ctx.steps_left = opts_.max_steps;
-    ctx.scalar_ov.assign(m_.keys.size(), nullptr);
-    ctx.array_ov.assign(m_.keys.size(), nullptr);
+    clear_overrides(ctx);
     try {
       const CompiledUnit& cu = m_.units[static_cast<size_t>(m_.main_unit)];
-      VmFrame f;
-      init_frame(f, cu, ctx);
+      VmFrame& f = enter(ctx, cu);
+      FrameGuard guard{ctx};
       run_unit(cu, f, ctx);
       result.ok = true;
     } catch (const RtStop& e) {
@@ -121,12 +152,11 @@ class Executor {
       result.error = e.message;
     }
     result.output = output_;
-    uint64_t par = parallel_steps_.load(std::memory_order_relaxed);
-    result.statements_in_parallel = par;
+    result.statements_in_parallel = parallel_steps_;
     result.statements_executed =
-        static_cast<uint64_t>(opts_.max_steps - ctx.steps_left) + par;
-    result.instructions_executed =
-        ctx.insns + parallel_insns_.load(std::memory_order_relaxed);
+        static_cast<uint64_t>(opts_.max_steps - ctx.steps_left) +
+        parallel_steps_;
+    result.instructions_executed = ctx.insns + parallel_insns_;
     return result;
   }
 
@@ -134,42 +164,109 @@ class Executor {
   const Module& m_;
   InterpOptions opts_;
   GlobalStore& globals_;
+  // COMMON cells and stores by key id, resolved from globals_ on first
+  // touch. A first touch can happen on several lanes at once; GlobalStore
+  // hands all of them the same pointer, so the racing stores agree.
+  std::unique_ptr<std::atomic<double*>[]> common_scalars_;
+  std::unique_ptr<std::atomic<ArrayStore*>[]> common_arrays_;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<Lane> lanes_;  // indexed by chunk; see run_pardo
   std::mutex output_mu_;
   std::string output_;
-  std::atomic<uint64_t> parallel_steps_{0};
-  std::atomic<uint64_t> parallel_insns_{0};
+  // Lane counters, summed by the encountering thread after each join.
+  uint64_t parallel_steps_ = 0;
+  uint64_t parallel_insns_ = 0;
+
+  void clear_overrides(VmCtx& ctx) const {
+    ctx.scalar_ov.assign(m_.keys.size(), nullptr);
+    ctx.array_ov.assign(m_.keys.size(), nullptr);
+  }
+
+  // ---- COMMON storage -----------------------------------------------------
+
+  double* common_scalar(int32_t key, bool is_int) {
+    std::atomic<double*>& slot = common_scalars_[static_cast<size_t>(key)];
+    double* p = slot.load(std::memory_order_acquire);
+    if (!p) {
+      p = globals_.get_or_create_scalar(m_.keys[static_cast<size_t>(key)],
+                                        is_int);
+      slot.store(p, std::memory_order_release);
+    }
+    return p;
+  }
+
+  // The first toucher's declaration shapes the store, like the tree-walker.
+  ArrayStore* common_array(int32_t key, const ArraySlot& as,
+                           const std::array<int64_t, kMaxRank>& lower,
+                           const std::array<int64_t, kMaxRank>& extent) {
+    std::atomic<ArrayStore*>& slot = common_arrays_[static_cast<size_t>(key)];
+    ArrayStore* p = slot.load(std::memory_order_acquire);
+    if (!p) {
+      size_t n = as.dims.size();
+      // Assumed-size COMMON arrays are illegal; treat extent -1 as 1.
+      std::vector<int64_t> lo(lower.begin(), lower.begin() + n);
+      std::vector<int64_t> ce(extent.begin(), extent.begin() + n);
+      for (auto& e : ce)
+        if (e < 0) e = 1;
+      p = globals_
+              .get_or_create_array(m_.keys[static_cast<size_t>(key)], as.type,
+                                   std::move(lo), std::move(ce))
+              .get();
+      slot.store(p, std::memory_order_release);
+    }
+    return p;
+  }
 
   // ---- frames -------------------------------------------------------------
 
+  // Push the frame for a call of `cu` at the next depth. The caller pops it
+  // with a FrameGuard.
+  VmFrame& enter(VmCtx& ctx, const CompiledUnit& cu) {
+    if (ctx.depth == ctx.frames.size())
+      ctx.frames.push_back(std::make_unique<VmFrame>());
+    VmFrame& f = *ctx.frames[ctx.depth];
+    init_frame(f, cu, ctx);
+    ++ctx.depth;
+    return f;
+  }
+
+  // Locals start at zero and arrays unbound on every call, as in a fresh
+  // tree-walker frame. Local and PARAMETER slots keep pointing into `cells`
+  // while the frame serves the same unit; formals are all rebound by the
+  // call; COMMON slots are re-resolved, since the overrides in force
+  // differ between a lane and the main thread.
   void init_frame(VmFrame& f, const CompiledUnit& cu, VmCtx& ctx) {
-    f.cu = &cu;
-    size_t ns = cu.scalars.size();
-    f.cells.assign(ns, 0.0);
-    f.scalar.resize(ns);
-    f.scalar_int.resize(ns);
-    for (size_t i = 0; i < ns; ++i) {
-      const ScalarSlot& s = cu.scalars[i];
-      if (s.kind == ScalarKind::Common) {
-        double* ov = ctx.scalar_ov[static_cast<size_t>(s.common_key)];
-        f.scalar[i] =
-            ov ? ov
-               : globals_.get_or_create_scalar(
-                     m_.keys[static_cast<size_t>(s.common_key)], s.is_int);
-      } else {
+    const size_t ns = cu.scalars.size(), na = cu.arrays.size();
+    if (f.cu != &cu) {
+      f.cu = &cu;
+      f.cells.resize(ns);
+      f.scalar.resize(ns);
+      f.scalar_int.resize(ns);
+      for (size_t i = 0; i < ns; ++i) {
         f.scalar[i] = &f.cells[i];
+        f.scalar_int[i] = cu.scalars[i].is_int ? 1 : 0;
       }
-      f.scalar_int[i] = s.is_int ? 1 : 0;
+      f.arrays.resize(na);
+      f.locals.resize(na);
+      f.regs.resize(static_cast<size_t>(cu.num_regs));
     }
-    f.arrays.assign(cu.arrays.size(), ArrayRec{});
+    std::fill(f.cells.begin(), f.cells.end(), 0.0);
+    for (int32_t i : cu.common_scalars) {
+      const ScalarSlot& s = cu.scalars[static_cast<size_t>(i)];
+      double* ov = ctx.scalar_ov[static_cast<size_t>(s.common_key)];
+      double* p = ov ? ov : common_scalar(s.common_key, s.is_int);
+      // Unchanged entries are not rewritten, so lanes that read this frame
+      // keep their cached copy of the table.
+      if (f.scalar[static_cast<size_t>(i)] != p)
+        f.scalar[static_cast<size_t>(i)] = p;
+    }
+    for (ArrayRec& rec : f.arrays) rec.data = nullptr;
   }
 
   void run_unit(const CompiledUnit& cu, VmFrame& f, VmCtx& ctx) {
-    std::vector<RtVal> regs(static_cast<size_t>(cu.num_regs));
-    exec_range(cu, f, ctx, regs.data(), cu.prologue, 0,
+    exec_range(cu, f, ctx, f.regs.data(), cu.prologue, 0,
                static_cast<int32_t>(cu.prologue.size()));
-    exec_range(cu, f, ctx, regs.data(), cu.code, 0,
+    exec_range(cu, f, ctx, f.regs.data(), cu.code, 0,
                static_cast<int32_t>(cu.code.size()));
   }
 
@@ -200,29 +297,28 @@ class Executor {
     size_t n = as.dims.size();
     std::array<int64_t, kMaxRank> lower{}, extent{};
     eval_dims(as, r, lower, extent);
-    std::shared_ptr<ArrayStore> store;
     if (as.kind == ArrayKind::Common) {
-      store = ctx.array_ov[static_cast<size_t>(as.common_key)];
-      if (!store) {
-        // Assumed-size COMMON arrays are illegal; treat extent -1 as 1.
-        std::vector<int64_t> lo(lower.begin(), lower.begin() + n);
-        std::vector<int64_t> ce(extent.begin(), extent.begin() + n);
-        for (auto& e : ce)
-          if (e < 0) e = 1;
-        store = globals_.get_or_create_array(
-            m_.keys[static_cast<size_t>(as.common_key)], as.type,
-            std::move(lo), std::move(ce));
+      if (const ArrayRec* ov = ctx.array_ov[static_cast<size_t>(as.common_key)]) {
+        rec.data = ov->data;
+        rec.size = ov->size;
+      } else {
+        ArrayStore* store = common_array(as.common_key, as, lower, extent);
+        rec.data = store->data();
+        rec.size = static_cast<int64_t>(store->size());
       }
     } else {
-      for (size_t i = 0; i < n; ++i)
+      int64_t cells = 1;
+      for (size_t i = 0; i < n; ++i) {
         if (extent[i] < 0)
           throw RtError{"local array " + as.name + " has assumed size"};
-      store = std::make_shared<ArrayStore>(
-          as.type, std::vector<int64_t>(lower.begin(), lower.begin() + n),
-          std::vector<int64_t>(extent.begin(), extent.begin() + n));
+        cells *= extent[i] > 0 ? extent[i] : 1;  // ArrayStore's sizing
+      }
+      // Zeroed like a fresh store; the buffer's capacity is reused.
+      std::vector<double>& buf = f.locals[static_cast<size_t>(slot)];
+      buf.assign(static_cast<size_t>(cells), 0.0);
+      rec.data = buf.data();
+      rec.size = cells;
     }
-    rec.store = std::move(store);
-    rec.data = rec.store->data();
     rec.base = 0;
     rec.rank = static_cast<int32_t>(n);
     rec.is_int = as.is_int;
@@ -234,7 +330,7 @@ class Executor {
                int32_t slot) {
     const ArraySlot& as = cu.arrays[static_cast<size_t>(slot)];
     ArrayRec& rec = f.arrays[static_cast<size_t>(slot)];
-    if (!rec.store)
+    if (!rec.data)
       throw RtError{"array parameter " + as.name + " of " + cu.name +
                     " was not bound (argument mismatch)"};
     eval_dims(as, r, rec.lower, rec.extent);
@@ -250,9 +346,27 @@ class Executor {
     throw RtError{"subscript out of bounds: " + s + ")"};
   }
 
-  // Checked linear offset of an access (ArrayView::cell semantics).
+  // Checked linear offset of an access (ArrayView::cell semantics). Rank 1
+  // and 2 take a straight-line path; whatever it rejects goes through the
+  // general loop, which raises the error.
   static int64_t access_offset(const AccessDesc& acc, const ArrayRec& rec,
                                const RtVal* r, const std::string& name) {
+    if (acc.rank == 1 && rec.rank == 1) {
+      int64_t rel = sub_value(acc.subs[0], r) - rec.lower[0];
+      int64_t e = rec.extent[0];
+      int64_t off = rec.base + rel;
+      if (rel >= 0 && (e < 0 || rel < e) && off >= 0 && off < rec.size)
+        return off;
+    } else if (acc.rank == 2 && rec.rank == 2) {
+      int64_t rel0 = sub_value(acc.subs[0], r) - rec.lower[0];
+      int64_t rel1 = sub_value(acc.subs[1], r) - rec.lower[1];
+      int64_t e0 = rec.extent[0], e1 = rec.extent[1];
+      if (rel0 >= 0 && (e0 < 0 || rel0 < e0) && rel1 >= 0 &&
+          (e1 < 0 || rel1 < e1)) {
+        int64_t off = rec.base + rel0 + rel1 * (e0 >= 0 ? e0 : 1);
+        if (off >= 0 && off < rec.size) return off;
+      }
+    }
     int64_t subs[kMaxRank];
     for (int32_t i = 0; i < acc.rank; ++i) subs[i] = sub_value(acc.subs[i], r);
     if (acc.rank == rec.rank) {
@@ -265,11 +379,27 @@ class Executor {
         off += rel * stride;
         stride *= e >= 0 ? e : 1;
       }
-      if (d == acc.rank && off >= 0 &&
-          off < static_cast<int64_t>(rec.store->size()))
-        return off;
+      if (d == acc.rank && off >= 0 && off < rec.size) return off;
     }
     oob_error(name, subs, acc.rank);
+  }
+
+  static const std::string& array_name(const CompiledUnit& cu,
+                                       const AccessDesc& acc) {
+    return cu.arrays[static_cast<size_t>(acc.array_slot)].name;
+  }
+
+  // The record an element instruction works on: the frame's array, or
+  // with `priv` the lane's private array I.b. Faults like the tree-walker
+  // when the array was never bound.
+  static const ArrayRec& elem_array(const CompiledUnit& cu, const VmFrame& f,
+                                    const VmCtx& ctx, const Insn& I,
+                                    const AccessDesc& acc, bool priv,
+                                    const char* what, const char* suffix) {
+    const ArrayRec& rec = priv ? ctx.priv_arr[I.b]
+                               : f.arrays[static_cast<size_t>(acc.array_slot)];
+    if (!rec.data) throw RtError{what + array_name(cu, acc) + suffix};
+    return rec;
   }
 
   // ---- parallel DO --------------------------------------------------------
@@ -280,114 +410,49 @@ class Executor {
     // so lanes [0, nchunks) run and the last one runs the last iteration.
     const size_t nchunks =
         static_cast<size_t>(std::min<int64_t>(pool_->size(), hi - lo + 1));
-    const size_t np = plan.privates.size(), nr = plan.reductions.size();
-
-    pool_->parallel_for(lo, hi, [&](int64_t clo, int64_t chi, int tid) {
-      Lane& L = lanes_[static_cast<size_t>(tid)];
-      // Thread-local context: copy overrides, set nesting flag, share the
-      // step budget approximately (each thread gets the full remainder; the
-      // guard is about runaway loops, not precise accounting).
-      VmCtx& tctx = L.ctx;
-      tctx.in_parallel = true;
-      tctx.steps_left = ctx.steps_left;
-      tctx.insns = 0;
-      tctx.scalar_ov = ctx.scalar_ov;
-      tctx.array_ov = ctx.array_ov;
-      tctx.par_body = plan.body_start;
-
-      // Shadow frame: shared cell pointers plus private replacements in
-      // L.cells, sized once up front so the pointers stay valid.
-      VmFrame& shadow = L.shadow;
-      shadow.cu = f.cu;
-      shadow.scalar = f.scalar;
-      shadow.scalar_int = f.scalar_int;
-      shadow.arrays = f.arrays;
-      L.cells.resize(np + nr + 1);
-      double* cell = L.cells.data();
-      L.arrays.resize(np);
-
-      for (size_t pi = 0; pi < np; ++pi) {
-        const PrivateSpec& p = plan.privates[pi];
-        if (p.is_array) {
-          ArrayRec& rec = shadow.arrays[static_cast<size_t>(p.slot)];
-          std::shared_ptr<ArrayStore>& priv_store = L.arrays[pi];
-          if (priv_store)
-            *priv_store = *rec.store;
-          else
-            priv_store = std::make_shared<ArrayStore>(*rec.store);
-          rec.store = priv_store;
-          rec.data = priv_store->data();
-          if (p.common_key >= 0)
-            tctx.array_ov[static_cast<size_t>(p.common_key)] = priv_store;
-        } else {
-          *cell = *shadow.scalar[static_cast<size_t>(p.slot)];
-          shadow.scalar[static_cast<size_t>(p.slot)] = cell;
-          if (p.common_key >= 0)
-            tctx.scalar_ov[static_cast<size_t>(p.common_key)] = cell;
-          ++cell;
-        }
+    // Every chunk runs even when one faults; the chunks that finished count,
+    // as the tree-walker's do.
+    auto count = [&] {
+      for (size_t t = 0; t < nchunks; ++t) {
+        const Lane& L = lanes_[t];
+        if (!L.done) continue;
+        parallel_steps_ += static_cast<uint64_t>(ctx.steps_left - L.ctx.steps_left);
+        parallel_insns_ += L.ctx.insns;
       }
-      for (const ReductionSpec& rs : plan.reductions) {
-        *cell = red_identity(rs.op);
-        shadow.scalar[static_cast<size_t>(rs.slot)] = cell++;
-      }
-      // Private loop variable.
-      double* iv_cell = cell;
-      shadow.scalar[static_cast<size_t>(plan.iv_slot)] = iv_cell;
-      shadow.scalar_int[static_cast<size_t>(plan.iv_slot)] = 1;
-
-      L.regs.assign(static_cast<size_t>(cu.num_regs), RtVal{});
-      for (int64_t i = clo; i <= chi; ++i) {
-        *iv_cell = static_cast<double>(i);
-        exec_range(cu, shadow, tctx, L.regs.data(), cu.code, plan.body_start,
-                   plan.body_end);
-      }
-
-      parallel_steps_.fetch_add(
-          static_cast<uint64_t>(ctx.steps_left - tctx.steps_left),
-          std::memory_order_relaxed);
-      parallel_insns_.fetch_add(tctx.insns, std::memory_order_relaxed);
-
-      // Harvest private scalar values and reduction partials.
-      L.scalar_values.resize(np);
-      for (size_t pi = 0; pi < np; ++pi)
-        if (!plan.privates[pi].is_array)
-          L.scalar_values[pi] =
-              *shadow.scalar[static_cast<size_t>(plan.privates[pi].slot)];
-      L.reductions.resize(nr);
-      for (size_t ri = 0; ri < nr; ++ri)
-        L.reductions[ri] =
-            *shadow.scalar[static_cast<size_t>(plan.reductions[ri].slot)];
-    });
+    };
+    try {
+      pool_->parallel_for(lo, hi, [&](int64_t clo, int64_t chi, int tid) {
+        run_chunk(cu, f, ctx, plan, lanes_[static_cast<size_t>(tid)], clo,
+                  chi);
+      });
+    } catch (...) {
+      count();
+      throw;
+    }
+    count();
 
     // Last-value copy-out (sequential semantics for live-out privates).
     const Lane& last = lanes_[nchunks - 1];
-    for (size_t pi = 0; pi < np; ++pi) {
-      const PrivateSpec& p = plan.privates[pi];
+    for (const PrivateSpec& p : plan.privates) {
       if (!p.is_array) {
-        *f.scalar[static_cast<size_t>(p.slot)] = last.scalar_values[pi];
+        *f.scalar[static_cast<size_t>(p.slot)] =
+            last.cells[static_cast<size_t>(p.live)];
         continue;
       }
-      const ArrayStore& store = *last.arrays[pi];
-      if (p.common_key >= 0) {
-        // Copy back into the shared global store.
-        auto shared = globals_.get_or_create_array(
-            m_.keys[static_cast<size_t>(p.common_key)], store.elem_type(), {},
-            {});
-        if (shared->size() == store.size()) shared->raw() = store.raw();
-      } else {
-        ArrayRec& rec = f.arrays[static_cast<size_t>(p.slot)];
-        if (rec.store && rec.store->size() == store.size())
-          rec.store->raw() = store.raw();
-      }
+      // Back into the store the encountering frame sees; for a COMMON array
+      // that is the GlobalStore array, since no override is in force
+      // outside a region.
+      const std::vector<double>& src = last.buffers[static_cast<size_t>(p.cell)];
+      const ArrayRec& rec = f.arrays[static_cast<size_t>(p.slot)];
+      if (rec.data && rec.size == static_cast<int64_t>(src.size()))
+        std::copy(src.begin(), src.end(), rec.data);
     }
     // Combine reductions deterministically in thread order.
-    for (size_t ri = 0; ri < nr; ++ri) {
-      const ReductionSpec& rs = plan.reductions[ri];
+    for (const ReductionSpec& rs : plan.reductions) {
       double* cell = f.scalar[static_cast<size_t>(rs.slot)];
       double acc = *cell;
       for (size_t t = 0; t < nchunks; ++t) {
-        double v = lanes_[t].reductions[ri];
+        double v = lanes_[t].cells[static_cast<size_t>(rs.live)];
         switch (rs.op) {
           case RedOp::Prod: acc *= v; break;
           case RedOp::Min: acc = std::min(acc, v); break;
@@ -402,6 +467,72 @@ class Executor {
     // Loop variable exit value (Fortran leaves first-out-of-range).
     *f.scalar[static_cast<size_t>(plan.iv_slot)] =
         static_cast<double>(hi + 1);
+  }
+
+  // One lane's chunk [clo, chi] of the region: the lane body reads the
+  // encountering frame `f` for everything shared and its own cells and
+  // arrays for what the plan privatizes.
+  void run_chunk(const CompiledUnit& cu, VmFrame& f, const VmCtx& ctx,
+                 const ParDoPlan& plan, Lane& L, int64_t clo, int64_t chi) {
+    // Share the step budget approximately (each lane gets the full
+    // remainder; the guard is about runaway loops, not precise accounting).
+    L.done = false;
+    VmCtx& t = L.ctx;
+    t.in_parallel = true;
+    t.steps_left = ctx.steps_left;
+    t.insns = 0;
+    t.par_body = plan.lane_start;
+
+    L.cells.resize(static_cast<size_t>(plan.num_cells));
+    L.cell_int.resize(static_cast<size_t>(plan.num_cells));
+    L.arrays.resize(static_cast<size_t>(plan.num_arrays));
+    if (L.buffers.size() < L.arrays.size()) L.buffers.resize(L.arrays.size());
+    for (const PrivateSpec& p : plan.privates) {
+      const size_t k = static_cast<size_t>(p.cell);
+      if (p.is_array) {
+        // A private copy of the whole underlying store, seen through the
+        // encountering frame's view of it.
+        const ArrayRec& src = f.arrays[static_cast<size_t>(p.slot)];
+        std::vector<double>& buf = L.buffers[k];
+        buf.assign(src.data, src.data + src.size);
+        L.arrays[k] = src;
+        L.arrays[k].data = src.data ? buf.data() : nullptr;
+        if (p.common_key >= 0)
+          t.array_ov[static_cast<size_t>(p.common_key)] = &L.arrays[k];
+      } else {
+        L.cells[k] = *f.scalar[static_cast<size_t>(p.slot)];
+        L.cell_int[k] = f.scalar_int[static_cast<size_t>(p.slot)];
+        if (p.common_key >= 0)
+          t.scalar_ov[static_cast<size_t>(p.common_key)] = &L.cells[k];
+      }
+    }
+    for (const ReductionSpec& rs : plan.reductions) {
+      L.cells[static_cast<size_t>(rs.cell)] = red_identity(rs.op);
+      L.cell_int[static_cast<size_t>(rs.cell)] =
+          f.scalar_int[static_cast<size_t>(rs.slot)];
+    }
+    double& iv = L.cells[static_cast<size_t>(plan.iv_cell)];
+    L.cell_int[static_cast<size_t>(plan.iv_cell)] = 1;
+    t.priv = L.cells.data();
+    t.priv_int = L.cell_int.data();
+    t.priv_arr = L.arrays.data();
+
+    if (L.regs.size() < static_cast<size_t>(cu.num_regs))
+      L.regs.resize(static_cast<size_t>(cu.num_regs));
+    for (int64_t i = clo; i <= chi; ++i) {
+      iv = static_cast<double>(i);
+      exec_range(cu, f, t, L.regs.data(), cu.lane_code, plan.lane_start,
+                 plan.lane_end);
+    }
+
+    for (const PrivateSpec& p : plan.privates) {
+      if (p.common_key < 0) continue;
+      if (p.is_array)
+        t.array_ov[static_cast<size_t>(p.common_key)] = nullptr;
+      else
+        t.scalar_ov[static_cast<size_t>(p.common_key)] = nullptr;
+    }
+    L.done = true;
   }
 
   // ---- dispatch loop ------------------------------------------------------
@@ -438,44 +569,48 @@ class Executor {
         case Op::StoreRaw:
           *f.scalar[static_cast<size_t>(I.d)] = r[I.a].v;
           break;
-        case Op::LoadElem: {
+        case Op::LoadElem:
+        case Op::LoadPrivElem: {
           const AccessDesc& acc = m_.accesses[static_cast<size_t>(I.d)];
-          const ArrayRec& rec = f.arrays[static_cast<size_t>(acc.array_slot)];
-          if (!rec.store)
-            throw RtError{
-                "reference to undeclared array " +
-                cu.arrays[static_cast<size_t>(acc.array_slot)].name};
-          int64_t off = access_offset(
-              acc, rec, r, cu.arrays[static_cast<size_t>(acc.array_slot)].name);
+          const ArrayRec& rec =
+              elem_array(cu, f, ctx, I, acc, I.op == Op::LoadPrivElem,
+                         "reference to undeclared array ", "");
+          int64_t off = access_offset(acc, rec, r, array_name(cu, acc));
           r[I.a] = RtVal{rec.data[off], rec.is_int};
           break;
         }
-        case Op::StoreElem: {
+        case Op::StoreElem:
+        case Op::StorePrivElem: {
           const AccessDesc& acc = m_.accesses[static_cast<size_t>(I.d)];
-          ArrayRec& rec = f.arrays[static_cast<size_t>(acc.array_slot)];
-          if (!rec.store)
-            throw RtError{
-                "assignment to undeclared array " +
-                cu.arrays[static_cast<size_t>(acc.array_slot)].name};
-          int64_t off = access_offset(
-              acc, rec, r, cu.arrays[static_cast<size_t>(acc.array_slot)].name);
+          const ArrayRec& rec =
+              elem_array(cu, f, ctx, I, acc, I.op == Op::StorePrivElem,
+                         "assignment to undeclared array ", "");
+          int64_t off = access_offset(acc, rec, r, array_name(cu, acc));
           rec.data[off] =
               rec.is_int ? static_cast<double>(r[I.a].as_int()) : r[I.a].v;
           break;
         }
-        case Op::Addr: {
+        case Op::Addr:
+        case Op::AddrPriv: {
           const AccessDesc& acc = m_.accesses[static_cast<size_t>(I.d)];
-          const ArrayRec& rec = f.arrays[static_cast<size_t>(acc.array_slot)];
-          if (!rec.store)
-            throw RtError{
-                "actual array " +
-                cu.arrays[static_cast<size_t>(acc.array_slot)].name +
-                " unknown"};
-          int64_t off = access_offset(
-              acc, rec, r, cu.arrays[static_cast<size_t>(acc.array_slot)].name);
+          const ArrayRec& rec =
+              elem_array(cu, f, ctx, I, acc, I.op == Op::AddrPriv,
+                         "actual array ", " unknown");
+          int64_t off = access_offset(acc, rec, r, array_name(cu, acc));
           r[I.a] = RtVal::integer(off);
           break;
         }
+        case Op::LoadPriv:
+          r[I.a] = RtVal{ctx.priv[I.d], ctx.priv_int[I.d] != 0};
+          break;
+        case Op::StorePriv:
+          ctx.priv[I.d] = ctx.priv_int[I.d]
+                              ? static_cast<double>(r[I.a].as_int())
+                              : r[I.a].v;
+          break;
+        case Op::StoreRawPriv:
+          ctx.priv[I.d] = r[I.a].v;
+          break;
         case Op::Neg: r[I.a] = rt_neg(r[I.b]); break;
         case Op::NotOp: r[I.a] = rt_not(r[I.b]); break;
         case Op::Add: r[I.a] = rt_add(r[I.b], r[I.c]); break;
@@ -570,46 +705,49 @@ class Executor {
                  const RtVal* r, int32_t id) {
     const CallPlan& plan = cu.calls[static_cast<size_t>(id)];
     const CompiledUnit& callee = m_.units[static_cast<size_t>(plan.callee)];
-    VmFrame g;
-    init_frame(g, callee, ctx);
+    VmFrame& g = enter(ctx, callee);
+    FrameGuard guard{ctx};
+    // A private actual (lane bodies only) is the lane's cell or array.
+    auto array_arg = [&](const CallArg& a) -> const ArrayRec& {
+      return a.priv ? ctx.priv_arr[a.slot] : f.arrays[static_cast<size_t>(a.slot)];
+    };
     for (size_t i = 0; i < plan.args.size(); ++i) {
       const CallArg& a = plan.args[i];
       switch (a.kind) {
         case ArgKind::ScalarPtr: {
-          int32_t fs = callee.formal_scalar_slot[i];
-          g.scalar[static_cast<size_t>(fs)] =
-              f.scalar[static_cast<size_t>(a.slot)];
-          g.scalar_int[static_cast<size_t>(fs)] =
-              f.scalar_int[static_cast<size_t>(a.slot)];
+          size_t fs = static_cast<size_t>(callee.formal_scalar_slot[i]);
+          if (a.priv) {
+            g.scalar[fs] = &ctx.priv[a.slot];
+            g.scalar_int[fs] = ctx.priv_int[a.slot];
+          } else {
+            g.scalar[fs] = f.scalar[static_cast<size_t>(a.slot)];
+            g.scalar_int[fs] = f.scalar_int[static_cast<size_t>(a.slot)];
+          }
           break;
         }
         case ArgKind::ScalarElem: {
-          int32_t fs = callee.formal_scalar_slot[i];
-          const ArrayRec& rec = f.arrays[static_cast<size_t>(a.slot)];
-          g.scalar[static_cast<size_t>(fs)] =
-              rec.data + static_cast<int64_t>(r[a.reg].v);
-          g.scalar_int[static_cast<size_t>(fs)] = rec.is_int ? 1 : 0;
+          size_t fs = static_cast<size_t>(callee.formal_scalar_slot[i]);
+          const ArrayRec& rec = array_arg(a);
+          g.scalar[fs] = rec.data + static_cast<int64_t>(r[a.reg].v);
+          g.scalar_int[fs] = rec.is_int ? 1 : 0;
           break;
         }
         case ArgKind::ScalarValue: {
-          int32_t fs = callee.formal_scalar_slot[i];
-          g.cells[static_cast<size_t>(fs)] = r[a.reg].v;
-          g.scalar[static_cast<size_t>(fs)] = &g.cells[static_cast<size_t>(fs)];
-          g.scalar_int[static_cast<size_t>(fs)] = r[a.reg].is_int ? 1 : 0;
+          size_t fs = static_cast<size_t>(callee.formal_scalar_slot[i]);
+          g.cells[fs] = r[a.reg].v;
+          g.scalar[fs] = &g.cells[fs];
+          g.scalar_int[fs] = r[a.reg].is_int ? 1 : 0;
           break;
         }
-        case ArgKind::ArrayWhole: {
-          int32_t fa = callee.formal_array_slot[i];
-          g.arrays[static_cast<size_t>(fa)] =
-              f.arrays[static_cast<size_t>(a.slot)];
+        case ArgKind::ArrayWhole:
+          g.arrays[static_cast<size_t>(callee.formal_array_slot[i])] =
+              array_arg(a);
           break;
-        }
         case ArgKind::ArrayElem: {
-          int32_t fa = callee.formal_array_slot[i];
-          g.arrays[static_cast<size_t>(fa)] =
-              f.arrays[static_cast<size_t>(a.slot)];
-          g.arrays[static_cast<size_t>(fa)].base =
-              static_cast<int64_t>(r[a.reg].v);
+          ArrayRec& rec =
+              g.arrays[static_cast<size_t>(callee.formal_array_slot[i])];
+          rec = array_arg(a);
+          rec.base = static_cast<int64_t>(r[a.reg].v);
           break;
         }
       }

@@ -2,10 +2,11 @@
 //
 // Runs the flat register program with a tight dispatch loop: scalar reads
 // are one pointer dereference (slot tables resolved at Interpreter
-// construction), array accesses use the precompiled descriptors, and the
-// per-thread privatization of OMP PARALLEL DO regions is a copy of two
-// small vectors (slot -> cell pointer, slot -> array record) instead of the
-// tree-walker's string-keyed frame maps.
+// construction), array accesses use the precompiled descriptors, a CALL
+// reuses the calling thread's frame for its depth, and an OMP PARALLEL DO
+// lane runs the loop's lane body against the encountering frame plus its
+// own private cells, so entering a region costs O(privates) instead of
+// the tree-walker's copy of string-keyed frame maps.
 //
 // The contract (see bytecode.h) is bit-identical RunResult output with the
 // tree-walker, including error messages, statement counters and OMP

@@ -11,7 +11,8 @@
 // 4 threads, plus targeted micro-programs for the paths where the two
 // engines are easiest to drive apart — deferred constant-folding faults,
 // the statement budget, bounds errors, privatization/reduction regions,
-// recursion, and element-base argument views.
+// recursion, element-base argument views, frames reused across calls,
+// COMMON blocks first touched inside a region, and lane-summed counters.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -268,6 +269,73 @@ TEST(VmDifferential, RecursionDepth) {
   EXPECT_DOUBLE_EQ(scalars.at("C/S"), 21.0);
 }
 
+TEST(VmDifferential, LocalsAreFreshOnEveryCall) {
+  // The VM reuses one frame per call depth. Each subroutine reads a local
+  // scalar and a local array element before writing them, so a value left
+  // over from an earlier call, or clobbered by a deeper recursive call,
+  // would show in the sums: F is called repeatedly, REC recursively (its
+  // locals must survive the deeper calls), G from inside a 4-lane region
+  // (twice per lane).
+  auto p = parse_ok(R"(
+      PROGRAM T
+      COMMON /C/ S, Q, RS, A(8), R(5)
+      S = 0.0
+      DO K = 1, 5
+        CALL F(K)
+      ENDDO
+      CALL REC(4)
+      DO I = 1, 8
+        CALL G(I)
+      ENDDO
+      Q = A(1) + A(2) + A(3) + A(4) + A(5) + A(6) + A(7) + A(8)
+      RS = R(1) + R(2) + R(3) + R(4) + R(5)
+      WRITE(*,*) S, Q, RS
+      END
+      SUBROUTINE F(K)
+      COMMON /C/ S, Q, RS, A(8), R(5)
+      REAL L(3)
+      R(K) = X + L(2)
+      X = K * 10.0
+      L(2) = K * 100.0
+      END
+      SUBROUTINE REC(N)
+      COMMON /C/ S, Q, RS, A(8), R(5)
+      REAL W(2)
+      S = S + Y + W(1)
+      Y = N
+      W(1) = N * 2.0
+      IF (N .GT. 1) THEN
+        CALL REC(N - 1)
+      ENDIF
+      S = S + Y + W(1)
+      END
+      SUBROUTINE G(I)
+      COMMON /C/ S, Q, RS, A(8), R(5)
+      REAL V(2)
+      A(I) = Z + V(1) + I
+      Z = I
+      V(1) = I * 3.0
+      END
+)");
+  fir::Stmt* loop = test::find_loop(*p->units[0], "I");
+  ASSERT_NE(loop, nullptr);
+  for (bool parallel : {false, true}) {
+    loop->omp.parallel = parallel;
+    int threads = parallel ? 4 : 1;
+    RunResult b = run_both(*p, threads, 2'000'000'000,
+                           parallel ? "region" : "serial");
+    ASSERT_TRUE(b.ok) << b.error;
+    if (parallel) {
+      EXPECT_GT(b.statements_in_parallel, 0u);
+    }
+    std::map<std::string, double> scalars;
+    run_engine(*p, Engine::Bytecode, threads, 1'000'000, &scalars);
+    EXPECT_DOUBLE_EQ(scalars.at("C/S"), 30.0);  // sum of 3N, N = 1..4
+    EXPECT_DOUBLE_EQ(scalars.at("C/Q"), 36.0);  // A(I) = I
+    EXPECT_DOUBLE_EQ(scalars.at("C/RS"), 0.0);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Parallel regions: privatization, reductions, nested serialization.
 // ---------------------------------------------------------------------------
@@ -415,6 +483,69 @@ TEST(VmParallel, LaneStateDoesNotLeakBetweenRegions) {
   ASSERT_TRUE(b.ok) << b.error;
   EXPECT_GT(b.statements_in_parallel, 0u);
   EXPECT_LT(b.statements_in_parallel, b.statements_executed);
+}
+
+TEST(VmParallel, CommonFirstTouchedInsideRegion) {
+  // SUB declares COMMON /D/, which the main program lacks, so the block is
+  // created on first touch by whichever lanes call SUB first, concurrently.
+  auto p = parse_ok(R"(
+      PROGRAM T
+      COMMON /C/ A(64)
+      DO I = 1, 64
+        CALL SUB(I)
+      ENDDO
+      WRITE(*,*) A(1), A(32), A(64)
+      END
+      SUBROUTINE SUB(I)
+      COMMON /C/ A(64)
+      COMMON /D/ Z, ZA(4)
+      A(I) = I + Z + ZA(1)
+      END
+)");
+  fir::Stmt* loop = test::find_loop(*p->units[0], "I");
+  ASSERT_NE(loop, nullptr);
+  loop->omp.parallel = true;
+  for (int rep = 0; rep < 10; ++rep) {
+    RunResult b = run_both(*p, 4, 2'000'000'000, "rep " + std::to_string(rep));
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_GT(b.statements_in_parallel, 0u);
+  }
+  std::map<std::string, double> scalars;
+  run_engine(*p, Engine::Bytecode, 4, 1'000'000, &scalars);
+  EXPECT_EQ(scalars.count("D/Z"), 1u);
+}
+
+TEST(VmParallel, LaneCountersAreExactAtEveryLaneCount) {
+  // Lanes count their own instructions and statements, summed after each
+  // join. Chunking changes which lane runs an iteration, never what runs,
+  // so the totals may not depend on the lane count.
+  for (const char* name : {"DYFESM", "QCD", "SPEC77"}) {
+    const auto* app = suite::find_app(name);
+    ASSERT_NE(app, nullptr);
+    for (driver::InlineConfig cfg :
+         {driver::InlineConfig::None, driver::InlineConfig::Annotation}) {
+      driver::PipelineOptions opts;
+      opts.config = cfg;
+      driver::PipelineResult r = driver::run_pipeline(*app, opts);
+      ASSERT_TRUE(r.ok) << name << ": " << r.error;
+      std::string label = std::string(name) + "/" + driver::config_name(cfg);
+      RunResult two = run_engine(*r.program, Engine::Bytecode, 2, 2'000'000'000);
+      ASSERT_TRUE(two.ok) << label << ": " << two.error;
+      EXPECT_GT(two.statements_in_parallel, 0u) << label;
+      for (int threads : {3, 4}) {
+        RunResult b =
+            run_engine(*r.program, Engine::Bytecode, threads, 2'000'000'000);
+        ASSERT_TRUE(b.ok) << label << ": " << b.error;
+        EXPECT_EQ(b.instructions_executed, two.instructions_executed)
+            << label << " t" << threads;
+        EXPECT_EQ(b.statements_in_parallel, two.statements_in_parallel)
+            << label << " t" << threads;
+        EXPECT_EQ(b.statements_executed, two.statements_executed)
+            << label << " t" << threads;
+        EXPECT_EQ(b.output, two.output) << label << " t" << threads;
+      }
+    }
+  }
 }
 
 }  // namespace
