@@ -6,24 +6,11 @@
 
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "driver/pipeline.h"
-#include "obs/histogram.h"
 #include "suite/suite.h"
 
 namespace ap::bench {
-
-// Quantile over a latency sample, computed through the same log-bucketed
-// histogram the servers use for their live stats plane. Benchmarks and a
-// polled `apclient --stats` therefore quote quantiles from the identical
-// bucketing and agree to within one histogram bucket (<= ~3.1%).
-inline double percentile(const std::vector<double>& latencies_ms, double p) {
-  if (latencies_ms.empty()) return 0;
-  obs::Histogram hist;
-  for (double ms : latencies_ms) hist.record_ms(ms);
-  return hist.snapshot().quantile_ms(p);
-}
 
 inline void header(const std::string& title) {
   std::printf("\n================================================================\n");

@@ -189,7 +189,7 @@ void check_reduction(const std::vector<fir::StmtPtr>& body,
         s.lhs[0]->kind == fir::ExprKind::VarRef && s.lhs[0]->name == name &&
         s.rhs) {
       const fir::Expr& r = *s.rhs;
-      std::string op;
+      const char* op = "";
       const fir::Expr* self = nullptr;
       const fir::Expr* other = nullptr;
       if (r.kind == fir::ExprKind::Binary &&

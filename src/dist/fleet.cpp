@@ -20,7 +20,8 @@ bool Fleet::start(std::string* err) {
     caches_.push_back(std::make_unique<service::ResultCache>(
         opts_.cache_capacity, dir));
     WorkerOptions wo;
-    wo.id = "w" + std::to_string(i);
+    wo.id = "w";
+    wo.id += std::to_string(i);
     wo.threads = opts_.worker_threads;
     wo.coordinator_port = coordinator_->port();
     wo.heartbeat_interval_ms = opts_.heartbeat_interval_ms;

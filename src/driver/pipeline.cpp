@@ -78,10 +78,6 @@ uint64_t hash_normalize_boundary(const PipelineOptions& o) {
   return h;
 }
 
-bool boundary_enabled(const PipelineOptions& o, const std::string& name) {
-  return o.snapshot_boundaries.empty() || o.snapshot_boundaries.count(name);
-}
-
 }  // namespace
 
 PipelineResult run_pipeline(const suite::BenchmarkApp& app,
@@ -125,10 +121,9 @@ PipelineResult run_pipeline(const suite::BenchmarkApp& app,
                                   : incr::DepMode::Directed);
     artifacts =
         std::make_unique<incr::PassArtifacts>(std::move(plan), opts.unit_cache);
-    if (opts.par.normalize && boundary_enabled(opts, "normalize"))
+    if (opts.par.normalize)
       artifacts->enroll("normalize", hash_normalize_boundary(opts));
-    if (boundary_enabled(opts, "parallelize"))
-      artifacts->enroll("parallelize", hash_pipeline_options(kFnvOffset, opts));
+    artifacts->enroll("parallelize", hash_pipeline_options(kFnvOffset, opts));
     mopts.artifacts = artifacts.get();
   }
 

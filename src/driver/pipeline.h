@@ -75,12 +75,6 @@ struct PipelineOptions {
   // request cache key.
   incr::UnitCache* unit_cache = nullptr;
 
-  // Which pass boundaries may snapshot/restore (empty = all). Execution
-  // knob for benches and ablations (e.g. {"normalize"} measures how much
-  // a normalize-only resume saves); semantics-neutral, NOT part of the
-  // key.
-  std::set<std::string> snapshot_boundaries;
-
   // Verification mode: build the incremental plan with the historical
   // symmetric COMMON dependence rule instead of the directed
   // reads/writes rule. Only hit rates differ — results are bit-identical

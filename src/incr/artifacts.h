@@ -13,8 +13,8 @@
 // snapshotting pass with its option hash (enroll()), so e.g. the
 // normalize boundary is keyed by the inliner+normalize options while the
 // parallelize boundary is keyed by the whole pipeline hash. A pass not
-// enrolled — or filtered out by --snapshot-boundaries — probes as
-// not-participating and the manager runs it normally with zero counters.
+// enrolled probes as not-participating and the manager runs it normally
+// with zero counters.
 //
 // When the plan is unusable (defensive token-split mismatch) or a unit is
 // unknown to it, the probe still reports participating=true with no

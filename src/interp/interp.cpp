@@ -140,10 +140,15 @@ struct Interpreter::Impl {
     }
     auto off = view.cell(subs);
     if (!off) {
-      std::string s = ref.name + "(";
-      for (size_t i = 0; i < subs.size(); ++i)
-        s += (i ? "," : "") + std::to_string(subs[i]);
-      throw RuntimeError{"subscript out of bounds: " + s + ")"};
+      std::string s = "subscript out of bounds: ";
+      s += ref.name;
+      s += '(';
+      for (size_t i = 0; i < subs.size(); ++i) {
+        if (i) s += ',';
+        s += std::to_string(subs[i]);
+      }
+      s += ')';
+      throw RuntimeError{std::move(s)};
     }
     return *off;
   }

@@ -340,10 +340,15 @@ class Executor {
 
   [[noreturn]] static void oob_error(const std::string& name,
                                      const int64_t* subs, int32_t rank) {
-    std::string s = name + "(";
-    for (int32_t i = 0; i < rank; ++i)
-      s += (i ? "," : "") + std::to_string(subs[i]);
-    throw RtError{"subscript out of bounds: " + s + ")"};
+    std::string s = "subscript out of bounds: ";
+    s += name;
+    s += '(';
+    for (int32_t i = 0; i < rank; ++i) {
+      if (i) s += ',';
+      s += std::to_string(subs[i]);
+    }
+    s += ')';
+    throw RtError{std::move(s)};
   }
 
   // Checked linear offset of an access (ArrayView::cell semantics). Rank 1

@@ -10,7 +10,7 @@
 #include <array>
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <string_view>
 
 #include "interp/interp.h"
 #include "net/binproto.h"
@@ -849,13 +849,14 @@ void Server::record_latency(RequestType type, double wall_ms) {
 
 void Server::record_cache_outcome(const char* outcome, double wall_ms) {
   obs::Histogram* h = nullptr;
-  if (std::strcmp(outcome, "memory_hit") == 0)
+  std::string_view o = outcome;
+  if (o == "memory_hit")
     h = &cache_hist_memory_;
-  else if (std::strcmp(outcome, "cache_hit") == 0)
+  else if (o == "cache_hit")
     h = &cache_hist_hit_;
-  else if (std::strcmp(outcome, "peer_hit") == 0)
+  else if (o == "peer_hit")
     h = &cache_hist_peer_;
-  else if (std::strcmp(outcome, "miss") == 0)
+  else if (o == "miss")
     h = &cache_hist_miss_;
   if (h) h->record_ms(wall_ms);
 }

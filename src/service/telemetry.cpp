@@ -17,9 +17,15 @@ std::string fmt_ms(double v) {
 std::string passes_json(const driver::PipelineTimings& t) {
   std::string out = "{";
   for (const auto& p : t.passes) {
-    out += "\"" + json_escape(p.name) + "\": " + fmt_ms(p.wall_ms) + ", ";
+    out += '"';
+    out += json_escape(p.name);
+    out += "\": ";
+    out += fmt_ms(p.wall_ms);
+    out += ", ";
   }
-  out += "\"pipeline_total\": " + fmt_ms(t.total_ms) + "}";
+  out += "\"pipeline_total\": ";
+  out += fmt_ms(t.total_ms);
+  out += '}';
   return out;
 }
 

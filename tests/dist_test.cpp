@@ -37,7 +37,10 @@ using time_point = std::chrono::steady_clock::time_point;
 
 std::vector<std::string> fleet_ids(int n) {
   std::vector<std::string> ids;
-  for (int i = 0; i < n; ++i) ids.push_back("w" + std::to_string(i));
+  for (int i = 0; i < n; ++i) {
+    ids.emplace_back("w");
+    ids.back() += std::to_string(i);
+  }
   return ids;
 }
 

@@ -834,10 +834,11 @@ TEST(Incremental, SeededEditsExactCountersAndIdenticalRuns) {
   }
 }
 
-// The tentpole end-to-end: an editor loop touching DYFESM's FORMP reuses
-// 9 of 12 units under directed dependence; the bidirectional verification
-// mode reuses only 1 of 12 (the COMMON-free CHOFAC) — and both produce
-// output bit-identical to a cold compile.
+// An editor loop touching DYFESM's FORMP reuses exactly 9 of 12 units
+// under directed dependence, round after round against one warm cache, at
+// both snapshot boundaries; the bidirectional verification mode reuses
+// only 1 of 12 (the COMMON-free CHOFAC). An edit of every unit reuses
+// nothing. Every compile is bit-identical to a cold one.
 TEST(Incremental, DyfesmFormpEditReusesNineOfTwelveUnits) {
   const suite::BenchmarkApp* app = suite::find_app("DYFESM");
   ASSERT_TRUE(app != nullptr);
@@ -856,30 +857,56 @@ TEST(Incremental, DyfesmFormpEditReusesNineOfTwelveUnits) {
   ASSERT_TRUE(bfill.ok);
   EXPECT_EQ(dfill.unit_misses, 12u);
 
-  suite::BenchmarkApp edited = *app;
-  edited.source = incr::mutate_unit(app->source, "FORMP", 17);
-  ASSERT_NE(edited.source, app->source);
+  // Restores at one snapshot boundary of a compile.
+  auto restored = [](const PipelineResult& r, const char* boundary) {
+    const pm::PassRecord* rec = r.timings.find(boundary);
+    return rec ? rec->unit_hits : -1;
+  };
 
-  PipelineResult directed = driver::run_pipeline(edited, dopts);
-  PipelineResult bidir = driver::run_pipeline(edited, bopts);
-  ASSERT_TRUE(directed.ok);
-  ASSERT_TRUE(bidir.ok);
+  for (int salt : {17, 18, 19}) {
+    std::string what = "DYFESM FORMP edit, salt " + std::to_string(salt);
+    suite::BenchmarkApp edited = *app;
+    edited.source = incr::mutate_unit(app->source, "FORMP", salt);
+    ASSERT_NE(edited.source, app->source) << what;
 
-  // Directed: only {FORMP, FSMP, DYFESM} recompile.
-  EXPECT_EQ(directed.unit_hits, 9u);
-  EXPECT_EQ(directed.unit_misses, 3u);
-  EXPECT_EQ(directed.unit_invalidated, 2u);
-  // Bidirectional: the 1/12 reuse ceiling (CHOFAC shares no COMMON).
-  EXPECT_EQ(bidir.unit_hits, 1u);
-  EXPECT_EQ(bidir.unit_misses, 11u);
+    PipelineResult directed = driver::run_pipeline(edited, dopts);
+    PipelineResult bidir = driver::run_pipeline(edited, bopts);
+    ASSERT_TRUE(directed.ok) << what;
+    ASSERT_TRUE(bidir.ok) << what;
 
-  PipelineOptions cold_opts;
-  PipelineResult cold = driver::run_pipeline(edited, cold_opts);
+    // Directed: only {FORMP, FSMP, DYFESM} recompile, at both boundaries.
+    EXPECT_EQ(directed.unit_hits, 9u) << what;
+    EXPECT_EQ(directed.unit_misses, 3u) << what;
+    EXPECT_EQ(directed.unit_invalidated, 2u) << what;
+    EXPECT_EQ(restored(directed, "normalize"), 9) << what;
+    EXPECT_EQ(restored(directed, "parallelize"), 9) << what;
+    // Bidirectional: the 1/12 reuse ceiling (CHOFAC shares no COMMON).
+    EXPECT_EQ(bidir.unit_hits, 1u) << what;
+    EXPECT_EQ(bidir.unit_misses, 11u) << what;
+
+    PipelineResult cold = driver::run_pipeline(edited, PipelineOptions{});
+    ASSERT_TRUE(cold.ok) << what;
+    expect_identical(directed, cold, what + " (directed)");
+    expect_identical(bidir, cold, what + " (bidirectional)");
+    if (salt == 17)
+      expect_identical_runs(*directed.program, *cold.program,
+                            interp::Engine::Bytecode, what + " (run)");
+  }
+
+  // Every unit edited: no snapshot may be restored (no stale reuse).
+  suite::BenchmarkApp all = *app;
+  int salt = 5000;
+  for (const auto& name : incr::source_unit_names(app->source))
+    all.source = incr::mutate_unit(all.source, name, salt++);
+  PipelineResult every = driver::run_pipeline(all, dopts);
+  ASSERT_TRUE(every.ok);
+  EXPECT_EQ(every.unit_hits, 0u);
+  EXPECT_EQ(every.unit_misses, 12u);
+  EXPECT_EQ(restored(every, "normalize"), 0);
+  EXPECT_EQ(restored(every, "parallelize"), 0);
+  PipelineResult cold = driver::run_pipeline(all, PipelineOptions{});
   ASSERT_TRUE(cold.ok);
-  expect_identical(directed, cold, "DYFESM directed");
-  expect_identical(bidir, cold, "DYFESM bidirectional");
-  expect_identical_runs(*directed.program, *cold.program,
-                        interp::Engine::Bytecode, "DYFESM directed run");
+  expect_identical(every, cold, "DYFESM every-unit edit");
 }
 
 // Differential proof over the whole suite: directed and bidirectional
@@ -977,32 +1004,6 @@ TEST(Incremental, NormalizeArtifactsSurviveParallelizerOptionChange) {
   cold_opts.par.use_banerjee = false;
   PipelineResult cold = driver::run_pipeline(app, cold_opts);
   expect_identical(resumed, cold, "banerjee flip");
-}
-
-// --snapshot-boundaries filters participation per pass: with only
-// "normalize" enabled, the parallelize boundary runs cold with zero
-// counters while normalize still resumes.
-TEST(Incremental, SnapshotBoundariesFilterLimitsParticipation) {
-  auto app = shaped_app();
-  incr::UnitCache cache(4096);
-  PipelineOptions opts;
-  opts.unit_cache = &cache;
-  opts.snapshot_boundaries = {"normalize"};
-  ASSERT_TRUE(driver::run_pipeline(app, opts).ok);
-  PipelineResult warm = driver::run_pipeline(app, opts);
-  ASSERT_TRUE(warm.ok);
-  const pm::PassRecord* nrec = warm.timings.find("normalize");
-  ASSERT_TRUE(nrec != nullptr);
-  EXPECT_EQ(nrec->unit_hits, 6);
-  // Result-level counters mirror the (unenrolled) parallelize boundary.
-  EXPECT_EQ(warm.unit_hits, 0u);
-  EXPECT_EQ(warm.unit_misses, 0u);
-  const pm::PassRecord* prec = warm.timings.find("parallelize");
-  ASSERT_TRUE(prec != nullptr);
-  EXPECT_EQ(prec->unit_hits + prec->unit_misses, 0);
-
-  PipelineResult cold = driver::run_pipeline(app, PipelineOptions{});
-  expect_identical(warm, cold, "normalize-only boundary");
 }
 
 TEST(Incremental, DiskTierServesAFreshProcess) {

