@@ -39,7 +39,9 @@ uint64_t route_key(const net::Request& req) {
 }  // namespace
 
 Coordinator::Coordinator(const CoordinatorOptions& opts)
-    : opts_(opts), membership_(opts.membership) {
+    : opts_(opts),
+      membership_(opts.membership),
+      channels_(static_cast<int>(opts.forward_timeout_ms)) {
   if (opts_.max_attempts < 1) opts_.max_attempts = 1;
 }
 
@@ -116,47 +118,11 @@ service::FleetStats Coordinator::fleet_stats() const {
   s.workers_left = membership_.left();
   s.workers_dead = membership_.died();
   s.load_steers = load_steers_.load();
-  {
-    std::lock_guard<std::mutex> lock(channels_mu_);
-    s.channels_opened = retired_connects_;
-    s.channel_reconnects = retired_reconnects_;
-    uint64_t peak = retired_inflight_peak_;
-    for (const auto& [id, e] : channels_) {
-      s.channels_opened += e.ch->connects();
-      s.channel_reconnects += e.ch->reconnects();
-      peak = std::max(peak, e.ch->inflight_peak());
-    }
-    s.channel_inflight_peak = static_cast<int64_t>(peak);
-  }
+  ChannelPool::Totals ct = channels_.totals();
+  s.channels_opened = ct.connects;
+  s.channel_reconnects = ct.reconnects;
+  s.channel_inflight_peak = static_cast<int64_t>(ct.inflight_peak);
   return s;
-}
-
-void Coordinator::retire_locked(const ChannelEntry& e) {
-  retired_connects_ += e.ch->connects();
-  retired_reconnects_ += e.ch->reconnects();
-  retired_inflight_peak_ = std::max(retired_inflight_peak_, e.ch->inflight_peak());
-}
-
-std::shared_ptr<net::Channel> Coordinator::channel_for(
-    const net::WorkerInfo& w) {
-  std::string host = w.host.empty() ? "127.0.0.1" : w.host;
-  std::lock_guard<std::mutex> lock(channels_mu_);
-  auto it = channels_.find(w.id);
-  if (it != channels_.end()) {
-    if (it->second.host == host && it->second.port == w.port)
-      return it->second.ch;
-    // Re-registered at a new address: the pooled channel is stale.
-    retire_locked(it->second);
-    channels_.erase(it);
-  }
-  net::ChannelOptions co;
-  co.host = host;
-  co.port = w.port;
-  co.recv_timeout_ms = static_cast<int>(opts_.forward_timeout_ms);
-  ChannelEntry e{host, w.port, std::make_shared<net::Channel>(co)};
-  auto ch = e.ch;
-  channels_.emplace(w.id, std::move(e));
-  return ch;
 }
 
 // ---------------------------------------------------------------------------
@@ -225,7 +191,7 @@ net::Response Coordinator::route(const net::Request& req,
     // one connection per worker instead of dialing per request. One
     // immediate same-worker retry after a reset: a transport error often
     // means a stale session, not a dead worker.
-    std::shared_ptr<net::Channel> ch = channel_for(*target);
+    std::shared_ptr<net::Channel> ch = channels_.get(*target);
     for (int try_ = 0; try_ < 2 && !delivered; ++try_) {
       if (try_ == 1) {
         ++retries_;

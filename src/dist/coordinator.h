@@ -28,14 +28,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
+#include "dist/channel_pool.h"
 #include "dist/membership.h"
-#include "net/channel.h"
 #include "net/server.h"
 #include "service/telemetry.h"
 
@@ -83,16 +82,6 @@ class Coordinator {
   net::Server* server() { return server_.get(); }
 
  private:
-  // One pooled, pipelined channel per worker. The entry remembers the
-  // endpoint it was dialed for, so a worker re-registering at a new
-  // address gets a fresh channel (the old one's counters are folded into
-  // the retired totals).
-  struct ChannelEntry {
-    std::string host;
-    int port = 0;
-    std::shared_ptr<net::Channel> ch;
-  };
-
   // Routes one admitted request. When the request is traced, appends one
   // "forward" span per attempted worker (failed attempts marked) with the
   // worker's own span subtree — carried back in its response — grafted
@@ -105,8 +94,6 @@ class Coordinator {
   // quantiles for `stats` responses.
   void fleet_stats_extra(json::Value* out) const;
   void tick_main();
-  std::shared_ptr<net::Channel> channel_for(const net::WorkerInfo& w);
-  void retire_locked(const ChannelEntry& e);  // channels_mu_ held
 
   CoordinatorOptions opts_;
   Membership membership_;
@@ -117,11 +104,8 @@ class Coordinator {
   std::condition_variable tick_cv_;
   bool tick_stop_ = false;
 
-  mutable std::mutex channels_mu_;
-  std::map<std::string, ChannelEntry> channels_;  // worker id -> channel
-  uint64_t retired_connects_ = 0;
-  uint64_t retired_reconnects_ = 0;
-  uint64_t retired_inflight_peak_ = 0;
+  // One pooled, pipelined channel per worker.
+  ChannelPool channels_;
 
   std::atomic<uint64_t> forwarded_{0};
   std::atomic<uint64_t> retries_{0};

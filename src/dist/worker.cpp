@@ -3,18 +3,16 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
+#include <map>
 
 #include "dist/shard.h"
 #include "incr/unit_cache.h"
 
 namespace ap::dist {
 
-namespace {
-using clock = std::chrono::steady_clock;
-}
-
-Worker::Worker(const WorkerOptions& opts) : opts_(opts) {}
+Worker::Worker(const WorkerOptions& opts)
+    : opts_(opts),
+      peer_channels_(static_cast<int>(opts.peer_timeout_ms)) {}
 
 Worker::~Worker() {
   if (server_) {
@@ -48,19 +46,33 @@ bool Worker::start(std::string* err) {
       return peer_lookup(key, trace_id, span);
     };
     so.on_store = [this](uint64_t key, const service::CompileResult& r,
-                         uint64_t trace_id) { replicate(key, r, trace_id); };
-    // Unit-artifact tier: a pass-boundary miss asks the fleet before the
-    // pass recomputes, and fresh snapshots replicate to the same ranked
-    // peers. Hooks fire outside the cache mutex (they do network I/O).
+                         uint64_t trace_id) {
+      if (opts_.replicate <= 0) return;
+      Fill f{key, {}};
+      f.req.type = net::RequestType::CacheFill;
+      f.req.key = net::format_key(key);
+      f.req.payload = service::serialize_result(r);
+      f.req.trace_id = trace_id;
+      enqueue_fill(std::move(f));
+    };
+    // Unit-artifact tier: a boundary's misses ask the fleet before the
+    // pass recomputes, and fresh snapshots queue for the same ranked
+    // peers. The lookup fires outside the cache mutex (network I/O).
     if (opts_.unit_cache) {
       opts_.unit_cache->set_peer_lookup(
-          [this](const std::string&, uint64_t key) {
-            return unit_peer_lookup(key);
+          [this](const std::string&, const std::vector<uint64_t>& keys) {
+            return unit_peer_lookup(keys);
           });
       opts_.unit_cache->set_store_hook(
           [this](const std::string& boundary, uint64_t key,
                  const std::string& payload) {
-            unit_replicate(boundary, key, payload);
+            if (opts_.replicate <= 0) return;
+            Fill f{key, {}};
+            f.req.type = net::RequestType::UnitFill;
+            f.req.key = net::format_key(key);
+            f.req.boundary = boundary;
+            f.req.payload = payload;
+            enqueue_fill(std::move(f));
           });
     }
   }
@@ -80,6 +92,7 @@ bool Worker::start(std::string* err) {
   no.control = [this](const net::Request& req, net::Response* resp) {
     return control(req, resp);
   };
+  if (opts_.coordinator_port > 0) no.after_reply = [this] { send_fills(); };
   no.extra_metrics = [this](json::Value* out) {
     service::PeerCacheStats ps = peer_stats();
     json::Value peer = json::Value::object();
@@ -88,6 +101,7 @@ bool Worker::start(std::string* err) {
         .set("fills_sent", ps.fills_sent)
         .set("fills_received", ps.fills_received)
         .set("peer_hits", ps.peer_hits)
+        .set("fills_dropped", ps.fills_dropped)
         .set("unit_probes_sent", ps.unit_probes_sent)
         .set("unit_probe_hits", ps.unit_probe_hits)
         .set("unit_fills_sent", ps.unit_fills_sent)
@@ -153,6 +167,7 @@ void Worker::stop_hard() {
   hb_cv_.notify_all();
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
   announce_on_stop_.store(false);  // crash: no leaving announcement
+  close_fills();                   // ...and its queued fills are lost
   if (server_) server_->begin_drain();
 }
 
@@ -169,6 +184,9 @@ void Worker::wait() {
   if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
   if (announce_on_stop_.exchange(false) && opts_.coordinator_port > 0)
     send_heartbeat(/*leaving=*/true);
+  // Every lane has finished: what is still queued gets one bounded try.
+  send_fills(clock::now() + std::chrono::milliseconds(opts_.peer_timeout_ms));
+  close_fills();
 }
 
 service::PeerCacheStats Worker::peer_stats() const {
@@ -178,6 +196,7 @@ service::PeerCacheStats Worker::peer_stats() const {
   s.fills_sent = fills_sent_.load();
   s.fills_received = fills_received_.load();
   s.peer_hits = peer_hits_.load();
+  s.fills_dropped = fills_dropped_.load();
   s.unit_probes_sent = unit_probes_sent_.load();
   s.unit_probe_hits = unit_probe_hits_.load();
   s.unit_fills_sent = unit_fills_sent_.load();
@@ -194,8 +213,11 @@ std::vector<net::WorkerInfo> Worker::peers() const {
 }
 
 void Worker::adopt_peers(const std::vector<net::WorkerInfo>& peers) {
-  std::lock_guard<std::mutex> lock(peers_mu_);
-  peers_ = peers;
+  {
+    std::lock_guard<std::mutex> lock(peers_mu_);
+    peers_ = peers;
+  }
+  peer_channels_.retain(peers);
 }
 
 // ---------------------------------------------------------------------------
@@ -234,19 +256,16 @@ bool Worker::control(const net::Request& req, net::Response* resp) {
       return true;
     }
     case net::RequestType::UnitProbe: {
-      uint64_t key = 0;
-      if (!net::parse_key(req.key, &key)) {
-        resp->status = net::Status::Error;
-        resp->error = "unparseable unit key";
-        return true;
-      }
-      // Local tiers only (peek): answering a probe must never recurse
-      // into this worker's own peer hook.
-      if (opts_.unit_cache) {
-        if (auto payload = opts_.unit_cache->peek(key)) {
-          resp->found = true;
-          resp->payload = std::move(*payload);
-        }
+      // One slot per asked key, in key order; empty = not held. Local
+      // tiers only (peek): answering a probe must never recurse into this
+      // worker's own peer hook. (validate() vetted every key.)
+      resp->payloads.resize(req.keys.size());
+      if (!opts_.unit_cache) return true;
+      for (size_t i = 0; i < req.keys.size(); ++i) {
+        uint64_t key = 0;
+        net::parse_key(req.keys[i], &key);
+        if (auto payload = opts_.unit_cache->peek(key))
+          resp->payloads[i] = std::move(*payload);
       }
       return true;
     }
@@ -291,6 +310,14 @@ static std::vector<net::WorkerInfo> ranked_peers(
   return out;
 }
 
+bool Worker::peer_call(const net::WorkerInfo& peer, net::Request req,
+                       net::Response* resp) {
+  // No retry: a failed hop falls back to the next peer, a recompute or a
+  // dropped fill, and the channel redials on its next call.
+  std::string err;
+  return peer_channels_.get(peer)->call(std::move(req), resp, &err);
+}
+
 std::optional<service::CompileResult> Worker::peer_lookup(uint64_t key,
                                                           uint64_t trace_id,
                                                           obs::Span* span) {
@@ -307,21 +334,13 @@ std::optional<service::CompileResult> Worker::peer_lookup(uint64_t key,
                  .count(),
              {}});
     };
-    net::Client client;
-    std::string err;
-    if (!client.connect(peer.host.empty() ? "127.0.0.1" : peer.host,
-                        peer.port, &err,
-                        static_cast<int>(opts_.peer_timeout_ms))) {
-      probe_span("unreachable");
-      continue;
-    }
     net::Request req;
     req.type = net::RequestType::CacheProbe;
     req.key = net::format_key(key);
     req.trace_id = trace_id;
     net::Response resp;
     probes_sent_.fetch_add(1);
-    if (!client.call(std::move(req), &resp, &err)) {
+    if (!peer_call(peer, std::move(req), &resp)) {
       probe_span("unreachable");
       continue;
     }
@@ -340,83 +359,113 @@ std::optional<service::CompileResult> Worker::peer_lookup(uint64_t key,
   return std::nullopt;
 }
 
-void Worker::replicate(uint64_t key, const service::CompileResult& r,
-                       uint64_t trace_id) {
-  if (opts_.replicate <= 0) return;
-  auto candidates = ranked_peers(peers(), id_, key);
-  if (candidates.empty()) return;
-  std::string payload = service::serialize_result(r);
-  int budget = opts_.replicate;
-  for (const auto& peer : candidates) {
-    if (budget-- <= 0) break;
-    net::Client client;
-    std::string err;
-    if (!client.connect(peer.host.empty() ? "127.0.0.1" : peer.host,
-                        peer.port, &err,
-                        static_cast<int>(opts_.peer_timeout_ms)))
-      continue;
-    net::Request req;
-    req.type = net::RequestType::CacheFill;
-    req.key = net::format_key(key);
-    req.payload = payload;
-    req.trace_id = trace_id;
-    net::Response resp;
-    if (client.call(std::move(req), &resp, &err) &&
-        resp.status == net::Status::Ok)
-      fills_sent_.fetch_add(1);
-  }
-}
-
-std::optional<std::string> Worker::unit_peer_lookup(uint64_t key) {
+std::vector<std::optional<std::string>> Worker::unit_peer_lookup(
+    const std::vector<uint64_t>& keys) {
   // Same rendezvous ranking as whole-result probes: the unit keyspace is
   // shared fleet-wide, so the most likely holder of a key is the worker
   // that owns (or recently owned) its shard.
-  auto candidates = ranked_peers(peers(), id_, key);
-  int budget = std::max(0, opts_.probe_peers);
-  for (const auto& peer : candidates) {
-    if (budget-- <= 0) break;
-    net::Client client;
-    std::string err;
-    if (!client.connect(peer.host.empty() ? "127.0.0.1" : peer.host,
-                        peer.port, &err,
-                        static_cast<int>(opts_.peer_timeout_ms)))
-      continue;
-    net::Request req;
-    req.type = net::RequestType::UnitProbe;
-    req.key = net::format_key(key);
-    net::Response resp;
-    unit_probes_sent_.fetch_add(1);
-    if (!client.call(std::move(req), &resp, &err)) continue;
-    if (resp.status != net::Status::Ok || !resp.found) continue;
-    unit_probe_hits_.fetch_add(1);
-    return std::move(resp.payload);
+  std::vector<std::optional<std::string>> out(keys.size());
+  const std::vector<net::WorkerInfo> view = peers();
+  const size_t budget = static_cast<size_t>(std::max(0, opts_.probe_peers));
+  std::vector<std::vector<net::WorkerInfo>> ranks;
+  ranks.reserve(keys.size());
+  for (uint64_t key : keys) ranks.push_back(ranked_peers(view, id_, key));
+  // Round r asks each key still missing of its r-th ranked peer, one
+  // unit_probe per peer carrying all of that peer's keys.
+  for (size_t round = 0; round < budget; ++round) {
+    std::map<std::string, std::vector<size_t>> asked;  // peer id -> keys
+    for (size_t i = 0; i < keys.size(); ++i)
+      if (!out[i] && round < ranks[i].size())
+        asked[ranks[i][round].id].push_back(i);
+    if (asked.empty()) break;
+    for (const auto& [id, idx] : asked) {
+      net::Request req;
+      req.type = net::RequestType::UnitProbe;
+      for (size_t i : idx) req.keys.push_back(net::format_key(keys[i]));
+      net::Response resp;
+      unit_probes_sent_.fetch_add(1);
+      if (!peer_call(ranks[idx.front()][round], std::move(req), &resp) ||
+          resp.status != net::Status::Ok)
+        continue;
+      for (size_t j = 0; j < idx.size() && j < resp.payloads.size(); ++j) {
+        if (resp.payloads[j].empty()) continue;
+        out[idx[j]] = std::move(resp.payloads[j]);
+        unit_probe_hits_.fetch_add(1);
+      }
+    }
   }
-  return std::nullopt;
+  return out;
 }
 
-void Worker::unit_replicate(const std::string& boundary, uint64_t key,
-                            const std::string& payload) {
-  if (opts_.replicate <= 0) return;
-  auto candidates = ranked_peers(peers(), id_, key);
-  int budget = opts_.replicate;
-  for (const auto& peer : candidates) {
-    if (budget-- <= 0) break;
-    net::Client client;
-    std::string err;
-    if (!client.connect(peer.host.empty() ? "127.0.0.1" : peer.host,
-                        peer.port, &err,
-                        static_cast<int>(opts_.peer_timeout_ms)))
-      continue;
-    net::Request req;
-    req.type = net::RequestType::UnitFill;
-    req.key = net::format_key(key);
-    req.payload = payload;
-    req.boundary = boundary;
-    net::Response resp;
-    if (client.call(std::move(req), &resp, &err) &&
-        resp.status == net::Status::Ok)
-      unit_fills_sent_.fetch_add(1);
+// ---------------------------------------------------------------------------
+// Replication: the fill queue
+// ---------------------------------------------------------------------------
+
+void Worker::enqueue_fill(Fill f) {
+  std::lock_guard<std::mutex> lock(fill_mu_);
+  if (fills_closed_) {
+    fills_dropped_.fetch_add(1);
+    return;
   }
+  if (fills_.size() >= kMaxQueuedFills) {
+    fills_.pop_front();
+    fills_dropped_.fetch_add(1);
+  }
+  fills_.push_back(std::move(f));
+}
+
+void Worker::send_fills(clock::time_point deadline) {
+  std::vector<std::string> failed;
+  std::unique_lock<std::mutex> lock(fill_mu_);
+  while (!fills_.empty()) {
+    if (clock::now() >= deadline) {
+      fills_dropped_.fetch_add(fills_.size());
+      fills_.clear();
+      break;
+    }
+    Fill f = std::move(fills_.front());
+    fills_.pop_front();
+    ++fills_in_flight_;
+    lock.unlock();
+    send_fill(f, &failed);
+    lock.lock();
+    --fills_in_flight_;
+    fill_cv_.notify_all();
+  }
+}
+
+void Worker::send_fill(Fill& f, std::vector<std::string>* failed) {
+  auto candidates = ranked_peers(peers(), id_, f.key);
+  size_t n = std::min(candidates.size(),
+                      static_cast<size_t>(std::max(0, opts_.replicate)));
+  std::atomic<uint64_t>& sent = f.req.type == net::RequestType::CacheFill
+                                    ? fills_sent_
+                                    : unit_fills_sent_;
+  for (size_t i = 0; i < n; ++i) {
+    const net::WorkerInfo& peer = candidates[i];
+    if (std::find(failed->begin(), failed->end(), peer.id) != failed->end())
+      continue;
+    net::Response resp;
+    // The last peer takes the request itself; earlier ones a copy.
+    net::Request req = i + 1 < n ? f.req : std::move(f.req);
+    if (!peer_call(peer, std::move(req), &resp))
+      failed->push_back(peer.id);
+    else if (resp.status == net::Status::Ok)
+      sent.fetch_add(1);
+  }
+}
+
+void Worker::close_fills() {
+  std::lock_guard<std::mutex> lock(fill_mu_);
+  fills_closed_ = true;
+  fills_dropped_.fetch_add(fills_.size());
+  fills_.clear();
+  fill_cv_.notify_all();
+}
+
+void Worker::flush_fills() {
+  std::unique_lock<std::mutex> lock(fill_mu_);
+  fill_cv_.wait(lock, [&] { return fills_.empty() && fills_in_flight_ == 0; });
 }
 
 // ---------------------------------------------------------------------------

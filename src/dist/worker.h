@@ -7,38 +7,57 @@
 // Every register/heartbeat response refreshes this worker's view of its
 // routable peers, so the peer list needs no separate gossip.
 //
+// Peer plane: every hop to a peer (cache_probe, cache_fill, unit_probe,
+// unit_fill) rides one lazily dialled, pipelined net::Channel per peer
+// (dist/channel_pool.h), retired when the peer leaves this worker's view,
+// so no hop pays a TCP connect once the fleet is warm. Heartbeats to the
+// coordinator dial per beat.
+//
 // Peer cache tier: the scheduler's peer_lookup hook fires on a local
 // cache miss *before* compiling — the worker probes peers in rendezvous
 // order for the key (the most likely holder first: after a membership
 // change the previous owner ranks directly behind the new one) with
 // `cache_probe`; a hit is deserialized, adopted into the local cache, and
 // reported as cache_hit + peer_hit. The on_store hook fires after a
-// fresh compile — the result is replicated with `cache_fill` to the next
-// `replicate` peers in the same ranking, so the natural failover targets
-// are warm before they are ever asked.
+// fresh compile and only queues the serialized result in a bounded
+// queue (kMaxQueuedFills; when full, the oldest fill is dropped and
+// counted). The lane that served the request sends the queue once its
+// reply is out (net::ServerOptions::after_reply), so replication never
+// delays a reply: each result goes with `cache_fill` to the next
+// `replicate` peers in the same ranking, and the natural failover
+// targets are warm before they are ever asked. (Not a sender thread of
+// its own: every thread that allocates gets its own malloc arena, and one
+// more per worker raised a fleet's peak RSS ~20%.)
 //
-// Unit-artifact tier: when a UnitCache is attached, the same
-// pattern runs one level down. A unit whose pass-boundary key misses both
-// local tiers is probed from peers with `unit_probe` before the pass
-// recomputes it, and fresh unit snapshots are pushed with `unit_fill` —
-// so a late-joining or resharded worker resumes apps mid-pipeline from
-// artifacts its peers already computed, without ever holding the
-// whole-request result.
+// Unit-artifact tier: when a UnitCache is attached, the same pattern
+// runs one level down. When a pass boundary's units miss both local
+// tiers, all the missed keys go to the ranked peers in one `unit_probe`
+// per peer before the pass recomputes them (keys a peer answered are not
+// asked of the next); fresh unit snapshots join the same fill queue and
+// go out as `unit_fill` after the reply — so a late-joining or resharded
+// worker resumes apps mid-pipeline from artifacts its peers already
+// computed, without ever holding the whole-request result.
 //
 // Serving: the worker accepts coordinator-wrapped `forward` requests and
 // plain compile/run (it remains a valid single-node endpoint), and
-// answers `cache_probe`/`cache_fill` from peers on the loop thread
-// (cache lookups only — never a compile).
+// answers `cache_probe`/`cache_fill`/`unit_probe`/`unit_fill` from peers
+// on the loop thread (cache lookups only — never a compile).
 //
 // Departure: begin_drain() announces `leaving` in a final heartbeat and
 // drains the server (graceful — the coordinator stops routing here
-// immediately). stop_hard() skips the announcement, simulating a crash:
-// the coordinator discovers it through transport failures and the health
-// state machine.
+// immediately); wait() then gives whatever fills are left
+// peer_timeout_ms to go out and drops the rest. stop_hard() skips the
+// announcement and abandons the queue, simulating a crash: the
+// coordinator discovers it through transport failures and the health
+// state machine. A lane stops sending to a peer after one transport
+// failure per queue drain, so a dead peer costs each drain at most one
+// peer_timeout_ms.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -46,6 +65,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/channel_pool.h"
 #include "net/client.h"
 #include "net/server.h"
 #include "service/cache.h"
@@ -53,6 +73,10 @@
 #include "service/telemetry.h"
 
 namespace ap::dist {
+
+// Fills a worker queues at most; a full queue drops the oldest
+// (PeerCacheStats::fills_dropped).
+inline constexpr size_t kMaxQueuedFills = 256;
 
 struct WorkerOptions {
   std::string id;                // "" = derived from pid + port after bind
@@ -99,8 +123,13 @@ class Worker {
   // Crash simulation (tests/CI): stop serving without telling anyone.
   void stop_hard();
   // Wait for the server to finish draining (after begin_drain/stop_hard
-  // or an external 'q' on wake_fd()).
+  // or an external 'q' on wake_fd()); fills still queued get
+  // peer_timeout_ms to go out (none after stop_hard).
   void wait();
+
+  // Blocks until every queued fill has been sent or dropped (tests and
+  // tools that read fill counters right after a reply).
+  void flush_fills();
 
   service::PeerCacheStats peer_stats() const;
   service::Scheduler* scheduler() { return scheduler_.get(); }
@@ -110,6 +139,15 @@ class Worker {
   std::vector<net::WorkerInfo> peers() const;
 
  private:
+  using clock = std::chrono::steady_clock;
+
+  // A queued replication: the cache_fill or unit_fill request, built by
+  // the thread that stored it, and its key.
+  struct Fill {
+    uint64_t key = 0;
+    net::Request req;
+  };
+
   bool control(const net::Request& req, net::Response* resp);
   // Probes ride the originating request's trace context: `trace_id` is
   // stamped on the wire (0 = untraced) so the peer's flight recorder
@@ -118,13 +156,24 @@ class Worker {
   std::optional<service::CompileResult> peer_lookup(uint64_t key,
                                                     uint64_t trace_id,
                                                     obs::Span* span);
-  void replicate(uint64_t key, const service::CompileResult& r,
-                 uint64_t trace_id);
-  // Unit-artifact hooks (installed on the attached UnitCache): probe the
-  // ranked peers for one pass-boundary artifact / push a fresh one.
-  std::optional<std::string> unit_peer_lookup(uint64_t key);
-  void unit_replicate(const std::string& boundary, uint64_t key,
-                      const std::string& payload);
+  // Unit-artifact lookup (installed on the attached UnitCache): one
+  // boundary's missed keys, asked of each key's ranked peers in rounds —
+  // one unit_probe per peer per round; slot i answers keys[i].
+  std::vector<std::optional<std::string>> unit_peer_lookup(
+      const std::vector<uint64_t>& keys);
+  // One call over `peer`'s kept channel; false on a transport failure.
+  bool peer_call(const net::WorkerInfo& peer, net::Request req,
+                 net::Response* resp);
+
+  void enqueue_fill(Fill f);
+  // Sends queued fills until the queue is empty or `deadline` passes;
+  // what is left then is dropped.
+  void send_fills(clock::time_point deadline = clock::time_point::max());
+  // Sends one fill to its ranked peers, skipping and extending `failed`
+  // (the peers that failed a send during this drain).
+  void send_fill(Fill& f, std::vector<std::string>* failed);
+  // Drops every queued fill and every later one (stop_hard, final drain).
+  void close_fills();
   void heartbeat_main();
   bool send_heartbeat(bool leaving);
   void adopt_peers(const std::vector<net::WorkerInfo>& peers);
@@ -139,6 +188,12 @@ class Worker {
   std::condition_variable hb_cv_;
   bool hb_stop_ = false;
 
+  std::mutex fill_mu_;
+  std::condition_variable fill_cv_;  // signalled when a send finishes
+  std::deque<Fill> fills_;
+  int fills_in_flight_ = 0;
+  bool fills_closed_ = false;
+
   mutable std::mutex peers_mu_;
   std::vector<net::WorkerInfo> peers_;
 
@@ -146,10 +201,13 @@ class Worker {
   // by begin_drain after announcing, by stop_hard to simulate a crash).
   std::atomic<bool> announce_on_stop_{true};
 
+  ChannelPool peer_channels_;
+
   std::atomic<uint64_t> probes_sent_{0};
   std::atomic<uint64_t> probe_hits_{0};
   std::atomic<uint64_t> fills_sent_{0};
   std::atomic<uint64_t> fills_received_{0};
+  std::atomic<uint64_t> fills_dropped_{0};
   std::atomic<uint64_t> peer_hits_{0};
   std::atomic<uint64_t> unit_probes_sent_{0};
   std::atomic<uint64_t> unit_probe_hits_{0};

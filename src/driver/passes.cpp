@@ -2,6 +2,8 @@
 
 #include "fir/parser.h"
 #include "fir/unparse.h"
+#include "incr/artifacts.h"
+#include "incr/plan.h"
 #include "incr/unit_cache.h"
 #include "incr/unit_serial.h"
 #include "par/parallelizer.h"
@@ -48,6 +50,11 @@ class ParsePass : public pm::Pass {
       st.fail("parse failed:\n" + st.diags->render_all());
       return;
     }
+    if (cx_.artifacts)
+      cx_.artifacts->set_plan(incr::make_plan(
+          *st.program, cx_.app->source, cx_.app->annotations,
+          cx_.opts.bidirectional_common ? incr::DepMode::Bidirectional
+                                        : incr::DepMode::Directed));
     if (!cx_.app->annotations.empty()) {
       DiagnosticEngine adiags;
       adiags.set_stream(cx_.app->name + ":annotations");

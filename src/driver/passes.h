@@ -29,6 +29,10 @@
 #include "driver/pipeline.h"
 #include "pm/pass.h"
 
+namespace ap::incr {
+class PassArtifacts;
+}
+
 namespace ap::driver {
 
 // Mutable driver state shared by the passes beyond the program itself:
@@ -40,6 +44,9 @@ struct PipelineContext {
   PipelineOptions opts;
   annot::AnnotationRegistry registry;
   PipelineResult* result = nullptr;
+  // The request's artifact store when a unit cache is attached: parse
+  // builds its incremental plan from the fresh program.
+  incr::PassArtifacts* artifacts = nullptr;
 };
 
 // The pass sequence for cx.opts.config, in execution order.

@@ -4,7 +4,6 @@
 
 #include "driver/passes.h"
 #include "incr/artifacts.h"
-#include "incr/plan.h"
 #include "interp/interp.h"
 #include "support/fnv.h"
 #include "support/thread_pool.h"
@@ -108,19 +107,17 @@ PipelineResult run_pipeline(const suite::BenchmarkApp& app,
 
   // Pass-boundary artifact store: one plan over the ORIGINAL source serves
   // every snapshotting pass; the artifact layer scopes each boundary with
-  // its own option hash. The plan fingerprints the pre-inline CALL/COMMON
-  // graph, so a post-inline unit's key covers every input that can shape
-  // it (inlining only moves content inward from the closure; the inliners'
-  // fresh-name counters are per-unit deterministic). Unusable plans (token
-  // split disagreeing with the parse) degrade to compiling every unit.
+  // its own option hash. The parse pass builds the plan from its program,
+  // before any inliner runs. The plan fingerprints the pre-inline
+  // CALL/COMMON graph, so a post-inline unit's key covers every input that
+  // can shape it (inlining only moves content inward from the closure; the
+  // inliners' fresh-name counters are per-unit deterministic). Unusable
+  // plans (token split disagreeing with the parse) degrade to compiling
+  // every unit.
   std::unique_ptr<incr::PassArtifacts> artifacts;
   if (opts.unit_cache) {
-    incr::IncrPlan plan = incr::make_plan(
-        app.source, app.annotations,
-        opts.bidirectional_common ? incr::DepMode::Bidirectional
-                                  : incr::DepMode::Directed);
-    artifacts =
-        std::make_unique<incr::PassArtifacts>(std::move(plan), opts.unit_cache);
+    artifacts = std::make_unique<incr::PassArtifacts>(opts.unit_cache);
+    cx.artifacts = artifacts.get();
     if (opts.par.normalize)
       artifacts->enroll("normalize", hash_normalize_boundary(opts));
     artifacts->enroll("parallelize", hash_pipeline_options(kFnvOffset, opts));

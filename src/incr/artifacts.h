@@ -37,17 +37,23 @@ class UnitCache;
 class PassArtifacts : public pm::ArtifactStore {
  public:
   // `cache` may be null (e.g. CLI run without a cache): every probe is
-  // then not-participating. The plan is copied; it is per-request state.
-  PassArtifacts(IncrPlan plan, UnitCache* cache)
-      : plan_(std::move(plan)), cache_(cache) {}
+  // then not-participating.
+  explicit PassArtifacts(UnitCache* cache) : cache_(cache) {}
+
+  // The request's plan, built from the parse pass's program before any
+  // boundary probes; until it is set every unit is a plain miss.
+  void set_plan(IncrPlan plan) { plan_ = std::move(plan); }
 
   // Registers `pass_name` as a snapshot boundary keyed by `opts_hash`.
   void enroll(const std::string& pass_name, uint64_t opts_hash) {
     boundaries_[pass_name] = opts_hash;
   }
 
-  pm::ArtifactProbe find_unit(std::string_view pass_name, uint64_t prefix_fp,
-                              const std::string& unit_name) override;
+  // One UnitCache::find_many for every unit the plan knows, so the
+  // boundary's local misses reach the fleet in one lookup.
+  std::vector<pm::ArtifactProbe> find_units(
+      std::string_view pass_name, uint64_t prefix_fp,
+      const std::vector<std::string>& unit_names) override;
   void store_unit(std::string_view pass_name, uint64_t prefix_fp,
                   const std::string& unit_name,
                   const std::string& payload) override;

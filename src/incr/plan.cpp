@@ -14,16 +14,20 @@ namespace ap::incr {
 
 IncrPlan make_plan(std::string_view source, std::string_view annotations,
                    DepMode mode) {
+  DiagnosticEngine diags;
+  auto prog = fir::parse_program(source, diags);
+  if (!prog) return {};  // the pipeline will report the parse error
+  return make_plan(*prog, source, annotations, mode);
+}
+
+IncrPlan make_plan(const fir::Program& prog, std::string_view source,
+                   std::string_view annotations, DepMode mode) {
   IncrPlan plan;
 
   SourceFingerprints fps = fingerprint_units(source, annotations);
   if (!fps.ok) return plan;
 
-  DiagnosticEngine diags;
-  auto prog = fir::parse_program(source, diags);
-  if (!prog) return plan;  // the pipeline will report the parse error
-
-  UnitDepGraph g = build_dep_graph(*prog, mode);
+  UnitDepGraph g = build_dep_graph(prog, mode);
 
   // The token-level split must name exactly the parsed units, in order —
   // otherwise a fingerprint could be attributed to the wrong unit.

@@ -6,8 +6,8 @@
 //                 (name, fingerprint) of every unit in closure(U),
 //                 sorted by name )
 //
-// where closure(U) is U's transitive CALL/COMMON dependence closure over a
-// fresh parse of the ORIGINAL source (incr/depgraph.h — directed COMMON
+// where closure(U) is U's transitive CALL/COMMON dependence closure over
+// the parse of the ORIGINAL source (incr/depgraph.h — directed COMMON
 // edges by default), and the fingerprints are the token-stream hashes of
 // incr/fingerprint.h (own annotations folded in). Editing unit V therefore
 // changes the keys of exactly V and its transitive dependents — the
@@ -20,8 +20,10 @@
 // boundary's semantic option hash — so one plan serves every snapshotting
 // pass in the pipeline.
 //
-// The plan is built from (source, annotations) alone, before any
-// transformation, and consulted by name at snapshot time: the post-inline
+// The plan is built from (source, annotations) and their parse, before
+// any transformation — the pipeline's parse pass hands over its own
+// program before an inliner touches it, so a compile parses once — and
+// consulted by name at snapshot time: the post-inline
 // program's units are a subset of the source units (inlining and dead-unit
 // elimination only remove or rewrite-in-place), and a post-inline unit's
 // content is a function of its pre-inline closure (the inliners' fresh
@@ -62,6 +64,12 @@ struct IncrPlan {
 // historical symmetric rule (verification mode — results are bit-identical
 // either way, only hit rates differ).
 IncrPlan make_plan(std::string_view source, std::string_view annotations,
+                   DepMode mode = DepMode::Directed);
+
+// The same plan over `prog`, which must be the untransformed parse of
+// `source` (the pipeline's parse pass output).
+IncrPlan make_plan(const fir::Program& prog, std::string_view source,
+                   std::string_view annotations,
                    DepMode mode = DepMode::Directed);
 
 }  // namespace ap::incr

@@ -237,7 +237,7 @@ std::optional<std::string> UnitCache::probe_local_locked(
     lru_.splice(lru_.begin(), lru_, it->second);
     ++stats_[boundary].memory_hits;
     *tier = UnitTier::Memory;
-    return it->second->second;
+    return it->second->payload;
   }
   if (!disk_dir_.empty()) {
     std::ifstream f(disk_path(key), std::ios::binary);
@@ -256,38 +256,52 @@ std::optional<std::string> UnitCache::probe_local_locked(
   return std::nullopt;
 }
 
-UnitFindResult UnitCache::find(const std::string& boundary, uint64_t key,
-                               uint64_t own_fp) {
-  UnitFindResult res;
+std::vector<UnitFindResult> UnitCache::find_many(
+    const std::string& boundary, const std::vector<UnitQuery>& queries) {
+  std::vector<UnitFindResult> out(queries.size());
+  std::vector<size_t> missed;
   std::unique_lock<std::mutex> lock(mu_);
-  if (auto payload = probe_local_locked(boundary, key, &res.tier)) {
-    res.payload = std::move(payload);
-    return res;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    out[i].payload = probe_local_locked(boundary, queries[i].key, &out[i].tier);
+    if (!out[i].payload) missed.push_back(i);
   }
   PeerLookup peer = peer_lookup_;
-  if (peer) {
-    // Network I/O outside the mutex; other lanes keep probing meanwhile.
+  if (peer && !missed.empty()) {
+    std::vector<uint64_t> keys;
+    keys.reserve(missed.size());
+    for (size_t i : missed) keys.push_back(queries[i].key);
+    // One fleet lookup for every local miss, outside the mutex: other
+    // lanes keep probing meanwhile.
     lock.unlock();
-    auto payload = peer(boundary, key);
+    std::vector<std::optional<std::string>> got = peer(boundary, keys);
     lock.lock();
-    if (payload) {
-      insert_memory_locked(key, *payload);
-      write_disk_locked(key, *payload);
+    for (size_t j = 0; j < missed.size() && j < got.size(); ++j) {
+      if (!got[j]) continue;
+      UnitFindResult& r = out[missed[j]];
+      insert_memory_locked(keys[j], *got[j]);
+      write_disk_locked(keys[j], *got[j]);
       ++stats_[boundary].peer_hits;
-      res.tier = UnitTier::Peer;
-      res.payload = std::move(payload);
-      return res;
+      r.tier = UnitTier::Peer;
+      r.payload = std::move(got[j]);
     }
   }
   IncrStats& st = stats_[boundary];
-  ++st.misses;
   auto& by_fp = last_key_by_fp_[boundary];
-  auto fp_it = by_fp.find(own_fp);
-  if (fp_it != by_fp.end() && fp_it->second != key) {
-    ++st.invalidated_by_dep;
-    res.invalidated = true;
+  for (size_t i : missed) {
+    if (out[i].payload) continue;
+    ++st.misses;
+    auto fp_it = by_fp.find(queries[i].own_fp);
+    if (fp_it != by_fp.end() && fp_it->second != queries[i].key) {
+      ++st.invalidated_by_dep;
+      out[i].invalidated = true;
+    }
   }
-  return res;
+  return out;
+}
+
+UnitFindResult UnitCache::find(const std::string& boundary, uint64_t key,
+                               uint64_t own_fp) {
+  return std::move(find_many(boundary, {{key, own_fp}}).front());
 }
 
 void UnitCache::store(const std::string& boundary, uint64_t key,
@@ -295,7 +309,11 @@ void UnitCache::store(const std::string& boundary, uint64_t key,
   StoreHook hook;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    insert_memory_locked(key, payload);
+    auto it = insert_memory_locked(key, payload);
+    if (it->boundary != boundary || it->own_fp != own_fp)
+      forget_pair_locked(*it);
+    it->boundary = boundary;
+    it->own_fp = own_fp;
     last_key_by_fp_[boundary][own_fp] = key;
     ++stats_[boundary].stores;
     write_disk_locked(key, payload);
@@ -309,7 +327,7 @@ std::optional<std::string> UnitCache::peek(uint64_t key) {
   auto it = index_.find(key);
   if (it != index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
+    return it->second->payload;
   }
   if (!disk_dir_.empty()) {
     std::ifstream f(disk_path(key), std::ios::binary);
@@ -357,22 +375,36 @@ void UnitCache::write_disk_locked(uint64_t key, const std::string& payload) {
   if (budget_) budget_->charge(path, old_size, payload.size());
 }
 
-void UnitCache::insert_memory_locked(uint64_t key, const std::string& payload) {
+void UnitCache::forget_pair_locked(const Entry& e) {
+  if (e.boundary.empty()) return;
+  // Only while the pair still names this entry's key: a newer key stored
+  // under the same pair keeps it.
+  auto b = last_key_by_fp_.find(e.boundary);
+  if (b == last_key_by_fp_.end()) return;
+  auto fp = b->second.find(e.own_fp);
+  if (fp != b->second.end() && fp->second == e.key) b->second.erase(fp);
+}
+
+UnitCache::Lru::iterator UnitCache::insert_memory_locked(
+    uint64_t key, const std::string& payload) {
   auto it = index_.find(key);
   if (it != index_.end()) {
-    it->second->second = payload;
+    it->second->payload = payload;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+    return it->second;
   }
-  lru_.emplace_front(key, payload);
+  lru_.push_front({key, payload, {}, 0});
   index_[key] = lru_.begin();
   while (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
+    const Entry& victim = lru_.back();
+    forget_pair_locked(victim);
+    index_.erase(victim.key);
     lru_.pop_back();
     // Evictions are not attributable to one boundary; account them under
     // the aggregate-only bucket.
     ++stats_[""].evictions;
   }
+  return lru_.begin();
 }
 
 IncrStats UnitCache::stats() const {
@@ -392,6 +424,13 @@ std::map<std::string, IncrStats> UnitCache::boundary_stats() const {
 size_t UnitCache::memory_entries() const {
   std::lock_guard<std::mutex> lock(mu_);
   return lru_.size();
+}
+
+size_t UnitCache::fingerprint_entries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  size_t n = 0;
+  for (const auto& [boundary, by_fp] : last_key_by_fp_) n += by_fp.size();
+  return n;
 }
 
 }  // namespace ap::incr

@@ -15,11 +15,12 @@
 //            attached, every write is charged against the shared
 //            --cache-max-mb budget and can evict (or be evicted by) the
 //            whole-request tier's files;
-//   peer   — optional hook (set_peer_lookup): on a memory+disk miss the
-//            cache asks the fleet (wire v6 unit_probe), called OUTSIDE the
-//            mutex; a peer payload is adopted into memory+disk. The
-//            symmetric store hook pushes fresh artifacts to peers
-//            (unit_fill).
+//   peer   — optional hook (set_peer_lookup): a lookup answers every key
+//            it was asked from memory+disk under the mutex, then asks the
+//            fleet ONCE, outside the mutex, for all the keys it missed
+//            (wire v7 unit_probe carries the key list); peer payloads are
+//            adopted into memory+disk. The symmetric store hook hands
+//            fresh artifacts to the fleet (unit_fill).
 //   (recompute — the caller's job.)
 //
 // Entries are only ever superseded — a changed input changes the key — so
@@ -29,7 +30,10 @@
 // (boundary, unit fingerprint). A miss whose fingerprint was seen before
 // under a different key means the unit itself is unchanged but a
 // dependency changed — counted as invalidated_by_dep (the telemetry that
-// proves the invalidation rule touches only the dependence closure).
+// proves the invalidation rule touches only the dependence closure). The
+// memory is tied to the memory tier: an entry goes when the key it names
+// is evicted, so it never outgrows `capacity` however many edits a daemon
+// serves.
 // Stats are kept per boundary so telemetry can show WHERE in the pipeline
 // edits resume.
 #pragma once
@@ -120,6 +124,13 @@ struct UnitFindResult {
   bool invalidated = false;  // miss; own unit unchanged, dependency changed
 };
 
+// One key of a lookup; `own_fp` is the unit's own fingerprint, used only
+// to classify a miss (see header comment).
+struct UnitQuery {
+  uint64_t key = 0;
+  uint64_t own_fp = 0;
+};
+
 class UnitCache {
  public:
   // `capacity` bounds the memory tier (entry count, >= 1); `disk_dir`
@@ -129,21 +140,26 @@ class UnitCache {
   explicit UnitCache(size_t capacity = 4096, std::string disk_dir = "",
                      support::DiskBudget* budget = nullptr);
 
-  // Fleet hooks. The lookup is called on a memory+disk miss, OUTSIDE the
-  // cache mutex (it does network I/O); the store hook after every local
-  // store (replication), also outside the mutex. Neither is called for
-  // adopted peer payloads — no recursion.
-  using PeerLookup = std::function<std::optional<std::string>(
-      const std::string& boundary, uint64_t key)>;
+  // Fleet hooks. The lookup is called once per find_many that missed
+  // memory+disk, with every missed key, OUTSIDE the cache mutex (it does
+  // network I/O); it answers one slot per key, in key order (nullopt = no
+  // peer holds it). The store hook runs after every local store
+  // (replication), also outside the mutex. Neither is called for adopted
+  // peer payloads — no recursion.
+  using PeerLookup = std::function<std::vector<std::optional<std::string>>(
+      const std::string& boundary, const std::vector<uint64_t>& keys)>;
   using StoreHook = std::function<void(const std::string& boundary,
                                        uint64_t key,
                                        const std::string& payload)>;
   void set_peer_lookup(PeerLookup fn);
   void set_store_hook(StoreHook fn);
 
-  // Thread-safe. `boundary` is the snapshotting pass's name (stats
-  // bucket); `own_fp` is the unit's own fingerprint, used only to
-  // classify misses (see header comment).
+  // Thread-safe. One boundary's lookups: results[i] answers queries[i].
+  // `boundary` is the snapshotting pass's name (stats bucket). At most one
+  // peer lookup, for the keys memory and disk both missed.
+  std::vector<UnitFindResult> find_many(const std::string& boundary,
+                                        const std::vector<UnitQuery>& queries);
+  // One-key find_many.
   UnitFindResult find(const std::string& boundary, uint64_t key,
                       uint64_t own_fp);
 
@@ -164,11 +180,27 @@ class UnitCache {
   IncrStats stats() const;  // aggregate over boundaries
   std::map<std::string, IncrStats> boundary_stats() const;
   size_t memory_entries() const;
+  // (boundary, fingerprint) pairs remembered for miss classification;
+  // never more than memory_entries().
+  size_t fingerprint_entries() const;
   const std::string& disk_dir() const { return disk_dir_; }
 
  private:
+  // A memory-tier entry. A locally stored one also names the (boundary,
+  // fingerprint) it was stored under, so its eviction can drop that pair
+  // from last_key_by_fp_ when the pair still points at it.
+  struct Entry {
+    uint64_t key = 0;
+    std::string payload;
+    std::string boundary;  // "" = adopted or disk/peer-served: no pair
+    uint64_t own_fp = 0;
+  };
+  using Lru = std::list<Entry>;
+
   std::string disk_path(uint64_t key) const;
-  void insert_memory_locked(uint64_t key, const std::string& payload);
+  Lru::iterator insert_memory_locked(uint64_t key, const std::string& payload);
+  // Drops e's (boundary, fingerprint) pair if it still names e.key.
+  void forget_pair_locked(const Entry& e);
   void write_disk_locked(uint64_t key, const std::string& payload);
   std::optional<std::string> probe_local_locked(const std::string& boundary,
                                                 uint64_t key, UnitTier* tier);
@@ -178,12 +210,10 @@ class UnitCache {
   support::DiskBudget* budget_;  // not owned; may be null
 
   mutable std::mutex mu_;
-  std::list<std::pair<uint64_t, std::string>> lru_;  // MRU first
-  std::unordered_map<uint64_t,
-                     std::list<std::pair<uint64_t, std::string>>::iterator>
-      index_;
+  Lru lru_;  // MRU first
+  std::unordered_map<uint64_t, Lru::iterator> index_;
   // (boundary, unit fingerprint) -> last stored key, for miss
-  // classification.
+  // classification. Bounded by the memory tier (see Entry).
   std::map<std::string, std::unordered_map<uint64_t, uint64_t>>
       last_key_by_fp_;
   std::map<std::string, IncrStats> stats_;  // by boundary

@@ -37,10 +37,14 @@
 //                 result cache with the serialized CompileResult on hit.
 //   cache_fill  — push a serialized result under K into the receiver's
 //                 cache (replication after a fresh compile).
-//   unit_probe  — "do you hold unit-artifact key K?" — answered from the
-//                 local unit cache with the opaque pass-boundary payload on
-//                 hit, so a late-joining worker resumes a unit from a
-//                 peer's snapshot instead of recomputing.
+//   unit_probe  — "which of unit-artifact keys K1..Kn do you hold?" — one
+//                 pass boundary's locally missed keys in one frame (v7;
+//                 v6 asked for one key per frame). Answered from the local
+//                 unit cache with one payload slot per key, in key order:
+//                 the opaque pass-boundary payload when held, empty when
+//                 not. A late-joining worker resumes units from a peer's
+//                 snapshots instead of recomputing, at one round trip per
+//                 peer per boundary.
 //   unit_fill   — push a unit artifact under K (with its boundary label)
 //                 into the receiver's unit cache.
 //   forward     — a coordinator-wrapped compile/run/compile_batch: the same
@@ -93,7 +97,7 @@
 
 namespace ap::net {
 
-inline constexpr int kProtocolVersion = 6;
+inline constexpr int kProtocolVersion = 7;
 
 // Upper bound on the interpreter lanes a run request may ask for: each
 // lane is an OS thread in the serving daemon.
@@ -197,8 +201,9 @@ struct Request {
   WorkerInfo worker;    // register, heartbeat
   WorkerLoad load;      // heartbeat
   bool leaving = false; // heartbeat: graceful departure announcement
-  std::string key;      // cache_probe, cache_fill, unit_probe/fill (hex)
+  std::string key;      // cache_probe, cache_fill, unit_fill (hex)
   std::string payload;  // cache_fill / unit_fill: serialized payload
+  std::vector<std::string> keys;  // unit_probe: the keys asked for (hex)
 
   // unit_fill: the snapshotting pass's name ("normalize", "parallelize")
   // — the receiver's stats bucket for the adopted artifact.
@@ -253,6 +258,8 @@ struct Response {
 
   bool found = false;   // cache_probe: the key was held
   std::string payload;  // cache_probe hit: serialized CompileResult
+  // unit_probe: payloads[i] answers keys[i]; empty = not held.
+  std::vector<std::string> payloads;
 
   bool has_peers = false;
   std::vector<WorkerInfo> peers;  // register/heartbeat: routable peers
@@ -270,7 +277,8 @@ struct Response {
 //     does every batch item;
 //   - a run asks for 1..kMaxRunThreads interpreter threads;
 //   - register/heartbeat name a worker id;
-//   - cache and unit probes/fills carry a hex key.
+//   - cache probes/fills and unit fills carry a hex key, and a unit
+//     probe a non-empty list of them.
 // False with *err naming the first failed check.
 bool validate(const Request& r, std::string* err);
 

@@ -247,8 +247,7 @@ void fields(V& v, Request& m) {
     AP_FIELD(11, "load", load);
     AP_FIELD(12, "leaving", leaving);
   }
-  if (is(T::CacheProbe, T::CacheFill, T::UnitProbe, T::UnitFill))
-    AP_FIELD(13, "key", key);
+  if (is(T::CacheProbe, T::CacheFill, T::UnitFill)) AP_FIELD(13, "key", key);
   if (is(T::CacheFill, T::UnitFill)) AP_FIELD(14, "payload", payload);
   if (is(T::Forward)) {
     AP_FIELD(15, "inner", inner);
@@ -258,6 +257,7 @@ void fields(V& v, Request& m) {
   AP_FIELD(18, "trace", trace);
   v.hex(19, "trace_id", m.trace_id);
   if (is(T::UnitFill)) AP_FIELD(20, "boundary", boundary);
+  if (is(T::UnitProbe)) AP_FIELD(21, "keys", keys);
 }
 
 template <class V>
@@ -275,6 +275,7 @@ void fields(V& v, Response& m) {
   v.opt(10, "peers", m.has_peers, m.peers);
   v.opt(11, "batch", m.has_batch, m.batch);
   AP_FIELD(12, "trace", trace);
+  AP_FIELD(13, "payloads", payloads);
 }
 
 #undef AP_FIELD

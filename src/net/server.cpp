@@ -989,6 +989,7 @@ void Server::worker_main() {
       // else: abandoned mid-run — the loop already answered
       // deadline_exceeded; this result is discarded.
     }
+    if (opts_.after_reply) opts_.after_reply();
 
     {
       std::lock_guard<std::mutex> lock(queue_mu_);

@@ -113,6 +113,10 @@ struct ServerOptions {
   // true when handled; false draws a structured `error` reply ("not a
   // fleet endpoint").
   std::function<bool(const Request&, Response*)> control;
+  // Runs on a worker lane right after it delivered a response, before the
+  // lane takes its next job (and before a drain can finish): work that
+  // must not delay the reply, such as a fleet worker's replication.
+  std::function<void()> after_reply;
   // Appends role-specific sections to metrics responses.
   std::function<void(json::Value*)> extra_metrics;
   // Appends role-specific sections to live `stats` responses (the

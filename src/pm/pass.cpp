@@ -67,9 +67,9 @@ bool PassManager::run_one(Pass& pass, PassState& st) {
         for (auto& d : unit_diags) d.set_stream(st.diags->stream());
 
       // Artifact protocol: when the pass snapshots and a store is
-      // attached, probe per unit before running it. Outcomes are recorded
-      // per unit and aggregated after the fan-out so the counters are
-      // deterministic under any lane interleaving.
+      // attached, probe every unit in one call before the fan-out.
+      // Outcomes are recorded per unit and aggregated after the fan-out
+      // so the counters are deterministic under any lane interleaving.
       bool snap = opts_.artifacts && pass.snapshotable();
       enum class Outcome : uint8_t {
         kNone,  // not enrolled (no probe, or probe said not participating)
@@ -81,13 +81,20 @@ bool PassManager::run_one(Pass& pass, PassState& st) {
       };
       std::vector<Outcome> outcomes(units.size(), Outcome::kNone);
       uint64_t prefix_fp = seq_fp_;
+      std::vector<ArtifactProbe> probes;
+      if (snap) {
+        std::vector<std::string> names;
+        names.reserve(units.size());
+        for (const auto& u : units) names.push_back(u->name);
+        probes = opts_.artifacts->find_units(pass.name(), prefix_fp, names);
+        probes.resize(units.size());  // a short answer probes as absent
+      }
 
       auto run_unit = [&](int64_t i) {
         auto idx = static_cast<size_t>(i);
         fir::ProgramUnit& unit = *units[idx];
         if (snap) {
-          ArtifactProbe probe =
-              opts_.artifacts->find_unit(pass.name(), prefix_fp, unit.name);
+          ArtifactProbe& probe = probes[idx];
           if (probe.participating) {
             if (probe.payload &&
                 pass.restore_unit_artifact(unit, idx, *probe.payload)) {

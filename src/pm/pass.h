@@ -19,11 +19,13 @@
 // the wire protocol. --stop-after/--print-after map to PassManagerOptions.
 //
 // Artifact protocol: a PerUnit pass that overrides the snapshot hooks
-// participates in pass-boundary snapshotting. Before running a unit
-// through such a pass the manager probes the attached ArtifactStore under
-// (pass name, pass-sequence prefix fingerprint, unit name); a payload the
-// pass successfully restores skips the unit's run entirely, and a
-// recomputed unit is snapshotted back into the store. The store owns key
+// participates in pass-boundary snapshotting. Before the fan-out the
+// manager asks the attached ArtifactStore for all of the boundary's units
+// at once under (pass name, pass-sequence prefix fingerprint, unit
+// names), so a store backed by the fleet pays one round trip per peer
+// per boundary, not one per unit. A payload the pass successfully
+// restores skips the unit's run entirely, and a recomputed unit is
+// snapshotted back into the store. The store owns key
 // construction and tiering (memory/disk/fleet peers — src/incr
 // implements it); the manager owns the per-boundary hit/miss counters in
 // PassRecord. A restore that fails falls back to recomputing —
@@ -68,9 +70,10 @@ struct ArtifactProbe {
 class ArtifactStore {
  public:
   virtual ~ArtifactStore() = default;
-  virtual ArtifactProbe find_unit(std::string_view pass_name,
-                                  uint64_t prefix_fp,
-                                  const std::string& unit_name) = 0;
+  // One boundary's probes: the result's i-th entry answers unit_names[i].
+  virtual std::vector<ArtifactProbe> find_units(
+      std::string_view pass_name, uint64_t prefix_fp,
+      const std::vector<std::string>& unit_names) = 0;
   virtual void store_unit(std::string_view pass_name, uint64_t prefix_fp,
                           const std::string& unit_name,
                           const std::string& payload) = 0;

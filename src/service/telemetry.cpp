@@ -231,6 +231,7 @@ std::string Telemetry::to_json() const {
       << ", \"fills_sent\": " << peer_cache_.fills_sent
       << ", \"fills_received\": " << peer_cache_.fills_received
       << ", \"peer_hits\": " << peer_cache_.peer_hits
+      << ", \"fills_dropped\": " << peer_cache_.fills_dropped
       << ", \"unit_probes_sent\": " << peer_cache_.unit_probes_sent
       << ", \"unit_probe_hits\": " << peer_cache_.unit_probe_hits
       << ", \"unit_fills_sent\": " << peer_cache_.unit_fills_sent

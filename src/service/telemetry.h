@@ -86,8 +86,13 @@ struct PeerCacheStats {
   uint64_t fills_sent = 0;       // replications pushed to peers
   uint64_t fills_received = 0;   // replications accepted from peers
   uint64_t peer_hits = 0;        // local misses served from the peer tier
-  // Unit-artifact tier (wire v6 unit_probe/unit_fill): same shape, one
-  // level down — per-unit pass snapshots instead of whole results.
+  // Fills (results and unit snapshots) never sent: the oldest when the
+  // bounded fill queue was full, or what a stop left queued.
+  uint64_t fills_dropped = 0;
+  // Unit-artifact tier (unit_probe/unit_fill): same shape, one level
+  // down — per-unit pass snapshots instead of whole results. A unit probe
+  // is one request carrying a boundary's missed keys; a probe hit is one
+  // key answered.
   uint64_t unit_probes_sent = 0;
   uint64_t unit_probe_hits = 0;
   uint64_t unit_fills_sent = 0;

@@ -7,6 +7,7 @@
 
 #include <chrono>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -497,9 +498,9 @@ suite::BenchmarkApp three_unit_app() {
 }
 
 TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
-  // A standalone worker answers the v6 unit-artifact messages directly
-  // from its attached incr::UnitCache, byte-exactly and without ever
-  // recursing into its own peer hooks.
+  // A standalone worker answers the unit-artifact messages directly from
+  // its attached incr::UnitCache, byte-exactly and without ever recursing
+  // into its own peer hooks.
   service::ResultCache cache(64);
   incr::UnitCache units(64);
   dist::WorkerOptions wo;
@@ -522,20 +523,20 @@ TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
   // Probe the held key: found, payload byte-exact.
   net::Request probe;
   probe.type = net::RequestType::UnitProbe;
-  probe.key = net::format_key(0xbeef);
+  probe.keys = {net::format_key(0xbeef)};
   net::Response resp;
   ASSERT_TRUE(client.call(std::move(probe), &resp, &err)) << err;
   ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
-  ASSERT_TRUE(resp.found);
-  EXPECT_EQ(resp.payload, payload);
+  ASSERT_EQ(resp.payloads.size(), 1u);
+  EXPECT_EQ(resp.payloads[0], payload);
 
   // An unknown key is a clean miss, not an error.
   net::Request miss;
   miss.type = net::RequestType::UnitProbe;
-  miss.key = net::format_key(0xdead);
+  miss.keys = {net::format_key(0xdead)};
   ASSERT_TRUE(client.call(std::move(miss), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Ok);
-  EXPECT_FALSE(resp.found);
+  EXPECT_EQ(resp.payloads, std::vector<std::string>{""});
 
   // A fill lands in the cache under its boundary and is servable back.
   net::Request fill;
@@ -559,6 +560,38 @@ TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
   ASSERT_TRUE(client.call(std::move(nobound), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Error);
   EXPECT_NE(resp.error.find("boundary"), std::string::npos);
+
+  worker.begin_drain();
+  worker.wait();
+}
+
+TEST(DistFleet, BatchedUnitProbeAnswersOneSlotPerKeyInOrder) {
+  // One unit_probe carries a boundary's keys; the answer holds one slot
+  // per key in key order, empty where the key is not held.
+  service::ResultCache cache(64);
+  incr::UnitCache units(64);
+  dist::WorkerOptions wo;
+  wo.id = "solo";
+  wo.threads = 1;
+  wo.cache = &cache;
+  wo.unit_cache = &units;
+  dist::Worker worker(wo);
+  std::string err;
+  ASSERT_TRUE(worker.start(&err)) << err;
+  units.adopt("parallelize", 0xa1, "APUNIT 2 first");
+  units.adopt("normalize", 0xc3, "APUSER 1 third");
+
+  net::Client client;
+  ASSERT_TRUE(client.connect(worker.port(), &err, 120'000)) << err;
+  net::Request probe;
+  probe.type = net::RequestType::UnitProbe;
+  probe.keys = {net::format_key(0xa1), net::format_key(0xb2),
+                net::format_key(0xc3)};
+  net::Response resp;
+  ASSERT_TRUE(client.call(std::move(probe), &resp, &err)) << err;
+  ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
+  EXPECT_EQ(resp.payloads, (std::vector<std::string>{"APUNIT 2 first", "",
+                                                     "APUSER 1 third"}));
 
   worker.begin_drain();
   worker.wait();
@@ -622,6 +655,8 @@ TEST(DistFleet, LateJoiningWorkerResumesUnitsFromPeer) {
   EXPECT_EQ(resumed.result.unit_hits, 1u);
   EXPECT_EQ(resumed.result.unit_peer_hits, 1u);
   EXPECT_EQ(resumed.result.unit_misses, 2u);
+  // Fills go out after the reply: wait for B's queue before reading them.
+  wb.flush_fills();
   service::PeerCacheStats bstats = wb.peer_stats();
   EXPECT_GE(bstats.unit_probes_sent, 1u);
   EXPECT_GE(bstats.unit_probe_hits, 1u);
@@ -642,6 +677,161 @@ TEST(DistFleet, LateJoiningWorkerResumesUnitsFromPeer) {
   wa.wait();
   wb.begin_drain();
   wb.wait();
+}
+
+// A coordinator plus two one-lane workers carrying unit caches, as the
+// edit-serving deployment runs them.
+struct UnitFleet {
+  explicit UnitFleet(int64_t peer_timeout_ms = 2'000) {
+    dist::CoordinatorOptions co;
+    co.membership = {/*suspect_after_ms=*/60'000, /*dead_after_ms=*/120'000};
+    coord = std::make_unique<dist::Coordinator>(co);
+    std::string err;
+    EXPECT_TRUE(coord->start(&err)) << err;
+    for (int i = 0; i < 2; ++i) {
+      dist::WorkerOptions wo;
+      wo.id = i == 0 ? "wa" : "wb";
+      wo.threads = 1;
+      wo.coordinator_port = coord->port();
+      wo.heartbeat_interval_ms = 100;
+      wo.peer_timeout_ms = peer_timeout_ms;
+      wo.cache = &caches[i];
+      wo.unit_cache = &units[i];
+      workers[i] = std::make_unique<dist::Worker>(wo);
+      EXPECT_TRUE(workers[i]->start(&err)) << err;
+    }
+    // wa registered alone; it learns of wb from a heartbeat response.
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (workers[0]->peers().size() < 2 &&
+           std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(milliseconds(10));
+    EXPECT_EQ(workers[0]->peers().size(), 2u);
+  }
+  ~UnitFleet() {
+    for (auto& w : workers) {
+      w->begin_drain();
+      w->wait();
+    }
+    coord->begin_drain();
+    coord->wait();
+  }
+
+  service::ResultCache caches[2]{service::ResultCache(64),
+                                 service::ResultCache(64)};
+  incr::UnitCache units[2]{incr::UnitCache(256), incr::UnitCache(256)};
+  std::unique_ptr<dist::Coordinator> coord;
+  std::unique_ptr<dist::Worker> workers[2];
+};
+
+TEST(DistFleet, PeerHopsReuseOneConnection) {
+  // Edited compiles through a fleet with unit caches probe and fill peers
+  // on every request. All of those hops ride one kept channel per peer,
+  // so a worker's server sees a bounded number of connections — the
+  // coordinator's channel and its peer's — however many compiles run.
+  UnitFleet fleet;
+  std::string err;
+  net::Client client;
+  ASSERT_TRUE(client.connect(fleet.coord->port(), &err, 120'000)) << err;
+  suite::BenchmarkApp app = three_unit_app();
+  const char* units[] = {"UONE", "UTWO", "MAIN"};
+  for (int i = 0; i < 20; ++i) {
+    suite::BenchmarkApp edited = app;
+    edited.source = incr::mutate_unit(app.source, units[i % 3], 100 + i);
+    net::Response resp;
+    ASSERT_TRUE(client.call(compile_request(edited), &resp, &err)) << err;
+    ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
+    EXPECT_FALSE(resp.result.cache_hit);
+  }
+
+  uint64_t probes = 0, fills = 0;
+  for (auto& w : fleet.workers) {
+    w->flush_fills();
+    service::PeerCacheStats ps = w->peer_stats();
+    probes += ps.probes_sent + ps.unit_probes_sent;
+    fills += ps.fills_sent + ps.unit_fills_sent;
+  }
+  // The peer plane was exercised...
+  EXPECT_GE(probes, 20u);
+  EXPECT_GE(fills, 20u);
+  // ...over at most the coordinator's channel, the peer's channel and
+  // one redial, per worker.
+  for (auto& w : fleet.workers)
+    EXPECT_LE(w->server()->stats().connections, 3u) << w->id();
+}
+
+TEST(DistFleet, FullFillQueueDropsTheOldest) {
+  // A batch's items all store before its one reply, so their fills pile
+  // up in wa's queue: past kMaxQueuedFills the oldest are dropped and
+  // counted, and the newest still reach wb once the reply is out.
+  UnitFleet fleet;
+  dist::Worker& wa = *fleet.workers[0];
+  constexpr int kItems = 100;
+  net::Request batch;
+  batch.type = net::RequestType::CompileBatch;
+  for (int i = 0; i < kItems; ++i) {
+    suite::BenchmarkApp app = tiny_app(1000 + i);
+    batch.batch.push_back({app.name, app.source, app.annotations, {}});
+  }
+  std::string err;
+  net::Client client;
+  ASSERT_TRUE(client.connect(wa.port(), &err, 120'000)) << err;
+  net::Response resp;
+  ASSERT_TRUE(client.call(batch, &resp, &err)) << err;
+  ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
+  ASSERT_EQ(resp.batch.size(), static_cast<size_t>(kItems));
+  wa.flush_fills();
+
+  const uint64_t queued = kItems + fleet.units[0].stats().stores;
+  ASSERT_GT(queued, dist::kMaxQueuedFills);
+  service::PeerCacheStats ps = wa.peer_stats();
+  EXPECT_EQ(ps.fills_dropped, queued - dist::kMaxQueuedFills);
+  EXPECT_EQ(ps.fills_sent + ps.unit_fills_sent, dist::kMaxQueuedFills);
+  auto key_of = [&](int i) {
+    suite::BenchmarkApp app = tiny_app(1000 + i);
+    return service::cache_key(app.source, app.annotations, {});
+  };
+  EXPECT_FALSE(fleet.caches[1].find_memory(key_of(0)).has_value());
+  EXPECT_TRUE(fleet.caches[1].find_memory(key_of(kItems - 1)).has_value());
+}
+
+TEST(DistFleet, DrainWithADeadPeerReturnsWithinPeerTimeout) {
+  // wb crashes; wa still lists it (long membership windows), so every
+  // compile on wa probes it and queues fills for it. Draining wa must
+  // flush or drop that queue within peer_timeout_ms, never hang on wb.
+  constexpr int64_t kPeerTimeoutMs = 2'000;
+  UnitFleet fleet(kPeerTimeoutMs);
+  dist::Worker& wa = *fleet.workers[0];
+  dist::Worker& wb = *fleet.workers[1];
+  wb.stop_hard();
+  wb.wait();
+  bool lists_wb = false;
+  for (const auto& p : wa.peers()) lists_wb = lists_wb || p.id == "wb";
+  ASSERT_TRUE(lists_wb);
+
+  std::string err;
+  net::Client client;
+  ASSERT_TRUE(client.connect(wa.port(), &err, 120'000)) << err;
+  suite::BenchmarkApp app = three_unit_app();
+  for (int i = 0; i < 8; ++i) {
+    suite::BenchmarkApp edited = app;
+    edited.source = incr::mutate_unit(app.source, "UTWO", 200 + i);
+    net::Response resp;
+    ASSERT_TRUE(client.call(compile_request(edited), &resp, &err)) << err;
+    ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
+  }
+  client.close();
+
+  auto t0 = std::chrono::steady_clock::now();
+  wa.begin_drain();
+  wa.wait();
+  auto elapsed = std::chrono::duration_cast<milliseconds>(
+      std::chrono::steady_clock::now() - t0);
+  EXPECT_LT(elapsed.count(), kPeerTimeoutMs);
+  // Nothing reached the dead peer.
+  service::PeerCacheStats ps = wa.peer_stats();
+  EXPECT_EQ(ps.fills_sent + ps.unit_fills_sent, 0u);
+  EXPECT_GE(ps.unit_probes_sent, 1u);
+  EXPECT_EQ(ps.unit_probe_hits, 0u);
 }
 
 TEST(DistFleet, GracefulLeaveIsAnnouncedNotDiscovered) {

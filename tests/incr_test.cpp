@@ -709,14 +709,15 @@ TEST(UnitCacheStore, StatsAreKeptPerBoundary) {
 TEST(UnitCacheStore, PeerHookServesMissesWithoutRecursion) {
   incr::UnitCache cache(8);
   int lookups = 0, fills = 0;
-  cache.set_peer_lookup(
-      [&](const std::string& boundary, uint64_t key)
-          -> std::optional<std::string> {
-        ++lookups;
-        EXPECT_EQ(boundary, "parallelize");
-        if (key == 7) return std::string("from-peer");
-        return std::nullopt;
-      });
+  cache.set_peer_lookup([&](const std::string& boundary,
+                            const std::vector<uint64_t>& keys) {
+    ++lookups;
+    EXPECT_EQ(boundary, "parallelize");
+    std::vector<std::optional<std::string>> out(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i)
+      if (keys[i] == 7) out[i] = "from-peer";
+    return out;
+  });
   cache.set_store_hook(
       [&](const std::string&, uint64_t, const std::string&) { ++fills; });
 
@@ -748,6 +749,77 @@ TEST(UnitCacheStore, PeerHookServesMissesWithoutRecursion) {
   // A local store DOES fire it (replication to peers).
   cache.store("parallelize", 11, 3, "local");
   EXPECT_EQ(fills, 1);
+}
+
+// A boundary's lookups answer from memory first, then ask the peer hook
+// ONCE for every key memory missed, in query order; each slot keeps its
+// own tier and miss classification.
+TEST(UnitCacheStore, BatchedFindAsksThePeerOnceForAllLocalMisses) {
+  incr::UnitCache cache(8);
+  cache.store("parallelize", 1, 11, "local");
+  cache.store("parallelize", 40, 44, "old-key");  // fp 44 known under 40
+  std::vector<std::vector<uint64_t>> asked;
+  cache.set_peer_lookup([&](const std::string&,
+                            const std::vector<uint64_t>& keys) {
+    asked.push_back(keys);
+    std::vector<std::optional<std::string>> out(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i)
+      if (keys[i] == 3) out[i] = "peer-three";
+    return out;
+  });
+
+  auto r = cache.find_many("parallelize",
+                           {{2, 22}, {1, 11}, {3, 33}, {41, 44}});
+  ASSERT_EQ(asked.size(), 1u);
+  EXPECT_EQ(asked[0], (std::vector<uint64_t>{2, 3, 41}));
+  ASSERT_EQ(r.size(), 4u);
+  EXPECT_FALSE(r[0].payload.has_value());
+  EXPECT_FALSE(r[0].invalidated);
+  EXPECT_EQ(r[1].tier, incr::UnitTier::Memory);
+  EXPECT_EQ(*r[1].payload, "local");
+  EXPECT_EQ(r[2].tier, incr::UnitTier::Peer);
+  EXPECT_EQ(*r[2].payload, "peer-three");
+  EXPECT_FALSE(r[3].payload.has_value());
+  EXPECT_TRUE(r[3].invalidated);
+  incr::IncrStats s = cache.stats();
+  EXPECT_EQ(s.memory_hits, 1u);
+  EXPECT_EQ(s.peer_hits, 1u);
+  EXPECT_EQ(s.misses, 2u);
+  EXPECT_EQ(s.invalidated_by_dep, 1u);
+
+  // All hits locally: the peer is not asked at all.
+  cache.find_many("parallelize", {{1, 11}, {3, 33}});
+  EXPECT_EQ(asked.size(), 1u);
+}
+
+// The (boundary, fingerprint) -> last key memory behind miss
+// classification is tied to the memory tier: storing many more distinct
+// fingerprints than the capacity keeps it at or below the capacity, and
+// the pairs of keys still held keep classifying misses.
+TEST(UnitCacheStore, FingerprintBookkeepingIsBoundedByCapacity) {
+  constexpr size_t kCapacity = 8;
+  incr::UnitCache cache(kCapacity);
+  for (uint64_t i = 0; i < 10 * kCapacity; ++i) {
+    const char* boundary = i % 2 ? "normalize" : "parallelize";
+    cache.store(boundary, 1000 + i, 5000 + i, "p");
+    EXPECT_LE(cache.fingerprint_entries(), kCapacity) << i;
+  }
+  EXPECT_EQ(cache.memory_entries(), kCapacity);
+  EXPECT_EQ(cache.fingerprint_entries(), kCapacity);
+
+  // A held key's fingerprint under a new key: dependency changed.
+  uint64_t last = 10 * kCapacity - 1;  // stored under "normalize"
+  auto r = cache.find("normalize", 1, 5000 + last);
+  EXPECT_FALSE(r.payload.has_value());
+  EXPECT_TRUE(r.invalidated);
+  // A re-store under the same fingerprint replaces the pair, and the
+  // older key's later eviction leaves the newer pair alone.
+  cache.store("normalize", 2, 5000 + last, "newer");
+  for (uint64_t i = 0; i < kCapacity - 1; ++i)
+    cache.store("parallelize", 9000 + i, 9000 + i, "filler");
+  EXPECT_FALSE(cache.peek(1000 + last).has_value());  // evicted
+  EXPECT_TRUE(cache.find("normalize", 3, 5000 + last).invalidated);
+  EXPECT_LE(cache.fingerprint_entries(), kCapacity);
 }
 
 // ---------------------------------------------------------------------------

@@ -103,7 +103,8 @@ inline net::Request rich_request(net::RequestType type) {
       break;
     }
     case net::RequestType::UnitProbe:
-      r.key = net::format_key(0xfeedface00c0ffeeull);
+      r.keys = {net::format_key(0xfeedface00c0ffeeull),
+                net::format_key(0x1), net::format_key(0x00c0ffee00000000ull)};
       break;
     case net::RequestType::UnitFill:
       r.key = net::format_key(0xfeedface00c0ffeeull);
@@ -174,6 +175,15 @@ inline std::vector<net::Response> response_shapes() {
     r.payload = "serialized result";
     r.has_peers = true;
     r.peers = {{"a", "10.0.0.1", 1}, {"b", "10.0.0.2", 2}};
+    shapes.push_back(std::move(r));
+  }
+
+  // Unit probe answer: one slot per key, empty = not held.
+  {
+    net::Response r;
+    r.id = 14;
+    r.payloads = {"APUNIT 2\nfirst", "", "APUSER 1 third"};
+    r.payloads[0].push_back('\0');
     shapes.push_back(std::move(r));
   }
 

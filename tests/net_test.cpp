@@ -291,23 +291,46 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   EXPECT_EQ(rback.peers[1].port, 2);
 }
 
-// Unit-artifact messages: unit_probe/unit_fill carry the same hex key
-// shape as the whole-result tier plus the boundary label, and the payload
-// stays byte-exact (it is an opaque pass snapshot). Like every request,
-// they decode only under the one protocol version.
+// Unit-artifact messages: unit_probe carries a list of hex keys (one
+// boundary's misses), unit_fill the same hex key shape as the
+// whole-result tier plus the boundary label, and payloads stay byte-exact
+// (they are opaque pass snapshots). Like every request, they decode only
+// under the one protocol version.
 TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
   net::Request probe;
   probe.type = net::RequestType::UnitProbe;
   probe.id = 21;
-  probe.key = net::format_key(0xfeedface00c0ffeeull);
+  probe.keys = {net::format_key(0xfeedface00c0ffeeull), net::format_key(0),
+                net::format_key(42)};
   net::Request back;
   std::string err;
   ASSERT_TRUE(net::request_from_json(net::request_to_json(probe), &back, &err))
       << err;
   EXPECT_EQ(back.type, net::RequestType::UnitProbe);
+  ASSERT_EQ(back.keys.size(), 3u);
   uint64_t key = 0;
-  ASSERT_TRUE(net::parse_key(back.key, &key));
+  ASSERT_TRUE(net::parse_key(back.keys[0], &key));
   EXPECT_EQ(key, 0xfeedface00c0ffeeull);
+  EXPECT_EQ(back.keys, probe.keys);
+  net::Request bin;
+  ASSERT_TRUE(net::decode_request_binary(net::encode_request_binary(probe),
+                                         &bin, &err))
+      << err;
+  EXPECT_EQ(bin.keys, probe.keys);
+
+  // A unit probe without keys, or with a key that is not hex, is rejected
+  // by both codecs.
+  for (const std::vector<std::string>& bad :
+       {std::vector<std::string>{}, std::vector<std::string>{"00aa", "zz"}}) {
+    net::Request r = probe;
+    r.keys = bad;
+    EXPECT_FALSE(net::request_from_json(net::request_to_json(r), &back, &err));
+    EXPECT_NE(err.find("keys"), std::string::npos) << err;
+    err.clear();
+    EXPECT_FALSE(net::decode_request_binary(net::encode_request_binary(r),
+                                            &back, &err));
+    EXPECT_NE(err.find("keys"), std::string::npos) << err;
+  }
 
   net::Request fill;
   fill.type = net::RequestType::UnitFill;
@@ -333,18 +356,16 @@ TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
                                           &back, &err));
   EXPECT_NE(err.find(claim), std::string::npos) << err;
 
-  // A probe hit response is the same found/payload shape the result tier
-  // uses — byte-exact through both codecs.
+  // A probe answer is one payload slot per key, empty = not held —
+  // byte-exact and in key order through both codecs.
   net::Response resp;
   resp.id = 21;
-  resp.found = true;
-  resp.payload = fill.payload;
+  resp.payloads = {fill.payload, "", "APUNIT 2 second"};
   net::Response rback;
   ASSERT_TRUE(
       net::response_from_json(net::response_to_json(resp), &rback, &err))
       << err;
-  EXPECT_TRUE(rback.found);
-  EXPECT_EQ(rback.payload, fill.payload);
+  EXPECT_EQ(rback.payloads, resp.payloads);
   net::Response bback;
   ASSERT_TRUE(net::decode_response_binary(net::encode_response_binary(resp),
                                           &bback, &err))
@@ -367,16 +388,16 @@ TEST(Protocol, RejectsWrongVersionAndMissingFields) {
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
   EXPECT_NE(err.find("version"), std::string::npos);
 
-  doc = json::parse(R"({"v": 6, "type": "compile", "id": 1})");
+  doc = json::parse(R"({"v": 7, "type": "compile", "id": 1})");
   ASSERT_TRUE(doc.has_value());
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
   EXPECT_NE(err.find("source"), std::string::npos);
 
-  doc = json::parse(R"({"v": 6, "type": "nonsense", "id": 1})");
+  doc = json::parse(R"({"v": 7, "type": "nonsense", "id": 1})");
   ASSERT_TRUE(doc.has_value());
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
 
-  doc = json::parse(R"({"v": 6, "type": "ping", "id": "one"})");
+  doc = json::parse(R"({"v": 7, "type": "ping", "id": "one"})");
   ASSERT_TRUE(doc.has_value());
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
 }
@@ -585,7 +606,7 @@ TEST(Server, WellFormedFrameBadRequestDrawsProtocolError) {
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-  ASSERT_TRUE(client.send_frame(R"({"v": 6, "type": "compile"})", &err));
+  ASSERT_TRUE(client.send_frame(R"({"v": 7, "type": "compile"})", &err));
   auto payload = client.recv_frame(&err);
   ASSERT_TRUE(payload.has_value()) << err;
   auto doc = json::parse(*payload);
@@ -824,26 +845,27 @@ TEST(Server, UnitProbeIsVersionGatedAndStructuredWithoutFleet) {
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
 
-  // A v5 claim: unsupported_version, naming the version spoken here; the
-  // connection stays.
-  ASSERT_TRUE(client.send_frame(
-      R"({"v": 5, "type": "unit_probe", "id": 4, "key": "00000000000000aa"})",
-      &err))
-      << err;
-  auto payload = client.recv_frame(&err);
-  ASSERT_TRUE(payload.has_value()) << err;
-  auto doc = json::parse(*payload);
-  ASSERT_TRUE(doc.has_value());
+  // A v5 claim, and a v6 peer's single-key probe: unsupported_version,
+  // naming the version spoken here; the connection stays.
   net::Response resp;
-  ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
-  EXPECT_NE(resp.error.find("v6"), std::string::npos);
+  for (const char* frame :
+       {R"({"v": 5, "type": "unit_probe", "id": 4, "key": "00000000000000aa"})",
+        R"({"v": 6, "type": "unit_probe", "id": 5, "key": "00000000000000aa"})"}) {
+    ASSERT_TRUE(client.send_frame(frame, &err)) << err;
+    auto payload = client.recv_frame(&err);
+    ASSERT_TRUE(payload.has_value()) << err;
+    auto doc = json::parse(*payload);
+    ASSERT_TRUE(doc.has_value());
+    ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
+    EXPECT_EQ(resp.status, net::Status::UnsupportedVersion) << frame;
+    EXPECT_NE(resp.error.find("v7"), std::string::npos) << resp.error;
+  }
 
   // A well-versioned probe against a single (non-fleet) server: a
   // structured error.
   net::Request probe;
   probe.type = net::RequestType::UnitProbe;
-  probe.key = net::format_key(0xaa);
+  probe.keys = {net::format_key(0xaa)};
   ASSERT_TRUE(client.call(std::move(probe), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Error);
   EXPECT_NE(resp.error.find("not a fleet endpoint"), std::string::npos);

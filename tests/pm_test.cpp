@@ -334,8 +334,18 @@ class FakeArtifactStore : public pm::ArtifactStore {
     std::string unit;
   };
 
+  std::vector<pm::ArtifactProbe> find_units(
+      std::string_view pass_name, uint64_t prefix_fp,
+      const std::vector<std::string>& unit_names) override {
+    ++batches;
+    std::vector<pm::ArtifactProbe> out;
+    for (const auto& name : unit_names)
+      out.push_back(find_unit(pass_name, prefix_fp, name));
+    return out;
+  }
+
   pm::ArtifactProbe find_unit(std::string_view pass_name, uint64_t prefix_fp,
-                              const std::string& unit_name) override {
+                              const std::string& unit_name) {
     probes.push_back({std::string(pass_name), prefix_fp, unit_name});
     pm::ArtifactProbe p;
     p.participating = participating;
@@ -364,6 +374,7 @@ class FakeArtifactStore : public pm::ArtifactStore {
   std::set<std::string> invalidated_units;
   std::vector<Call> probes;
   std::vector<Call> stores;
+  int batches = 0;  // find_units calls
 };
 
 // A snapshotable PerUnit pass whose effect is observable from outside:
@@ -414,6 +425,8 @@ TEST(PassManager, ArtifactProtocolProbesRestoresAndStores) {
     EXPECT_EQ(rec.unit_misses, 4);
     ASSERT_EQ(store.probes.size(), 4u);
     ASSERT_EQ(store.stores.size(), 4u);
+    // All four units were asked for in one call, before the fan-out.
+    EXPECT_EQ(store.batches, 1);
     EXPECT_EQ(store.probes[0].pass, "snap");
     // The probe and the store of one run see the SAME prefix: the pass's
     // own name is folded into the sequence fingerprint only after it ran.
