@@ -1,8 +1,9 @@
 // One kept, pipelined net::Channel per fleet member, keyed by worker id.
 //
-// The coordinator forwards over it and every worker reaches its peers
-// through it (cache_probe/cache_fill/unit_probe/unit_fill), so no hop
-// pays a TCP connect once a channel is warm. Channels dial lazily on
+// Every worker reaches its peers through it (cache_probe/cache_fill/
+// unit_probe/unit_fill), so no hop pays a TCP connect once a channel is
+// warm. (The coordinator forwards on its event loop instead, over
+// loop-owned connections; see dist/coordinator.h.) Channels dial lazily on
 // first use. An entry remembers the endpoint it was dialled for: a member
 // re-registering at a new address gets a fresh channel, and retain()
 // drops the channels of members that left the caller's view. A retired

@@ -354,25 +354,14 @@ void UnitCache::adopt(const std::string& boundary, uint64_t key,
 
 void UnitCache::write_disk_locked(uint64_t key, const std::string& payload) {
   if (disk_dir_.empty()) return;
-  // Atomic publish: write a temp file, then rename over the final name,
-  // so a concurrent reader (another process sharing the cache dir) never
-  // sees a torn entry.
+  // Atomic publish, so a concurrent reader (another process sharing the
+  // cache dir) never sees a torn entry.
   const std::string path = disk_path(key);
   std::error_code ec;
   uint64_t old_size = std::filesystem::file_size(path, ec);
   if (ec) old_size = 0;
-  const std::string tmp = path + ".tmp";
-  std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-  if (!f) return;
-  f << payload;
-  f.close();
-  std::error_code rec;
-  std::filesystem::rename(tmp, path, rec);
-  if (rec) {
-    std::filesystem::remove(tmp, rec);
-    return;
-  }
-  if (budget_) budget_->charge(path, old_size, payload.size());
+  if (support::publish_file(path, payload) && budget_)
+    budget_->charge(path, old_size, payload.size());
 }
 
 void UnitCache::forget_pair_locked(const Entry& e) {

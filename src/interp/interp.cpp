@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <vector>
 
@@ -70,17 +71,14 @@ struct Interpreter::Impl {
   const fir::Program& prog;
   InterpOptions opts;
   GlobalStore& globals;
-  std::unique_ptr<ThreadPool> pool;
+  ThreadPool* pool = nullptr;  // the running thread's kept pool, per run()
   std::mutex output_mu;
   std::string output;
   uint64_t total_steps = 0;
   std::atomic<uint64_t> parallel_steps{0};
 
   Impl(const fir::Program& p, InterpOptions o, GlobalStore& g)
-      : prog(p), opts(o), globals(g) {
-    if (opts.num_threads > 1 && opts.enable_parallel)
-      pool = std::make_unique<ThreadPool>(opts.num_threads);
-  }
+      : prog(p), opts(o), globals(g) {}
 
   // ---- expression evaluation ---------------------------------------------
 
@@ -739,6 +737,10 @@ RunResult Interpreter::run() {
     result.error = "no PROGRAM unit";
     return result;
   }
+  std::optional<ThreadPoolLease> lease;
+  if (impl_->opts.num_threads > 1 && impl_->opts.enable_parallel)
+    lease.emplace(impl_->opts.num_threads);
+  impl_->pool = lease ? &lease->pool() : nullptr;
   ExecCtx ctx;
   ctx.steps_left = impl_->opts.max_steps;
   try {
@@ -752,6 +754,7 @@ RunResult Interpreter::run() {
   } catch (const RuntimeError& e) {
     result.error = e.message;
   }
+  impl_->pool = nullptr;
   result.output = impl_->output;
   uint64_t par = impl_->parallel_steps.load(std::memory_order_relaxed);
   result.statements_in_parallel = par;

@@ -8,6 +8,7 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "support/thread_pool.h"
@@ -122,7 +123,8 @@ class Executor {
         common_arrays_(
             std::make_unique<std::atomic<ArrayStore*>[]>(m.keys.size())) {
     if (opts_.num_threads > 1 && opts_.enable_parallel) {
-      pool_ = std::make_unique<ThreadPool>(opts_.num_threads);
+      lease_.emplace(opts_.num_threads);
+      pool_ = &lease_->pool();
       lanes_.resize(static_cast<size_t>(pool_->size()));
       for (Lane& L : lanes_) clear_overrides(L.ctx);
     }
@@ -169,7 +171,9 @@ class Executor {
   // hands all of them the same pointer, so the racing stores agree.
   std::unique_ptr<std::atomic<double*>[]> common_scalars_;
   std::unique_ptr<std::atomic<ArrayStore*>[]> common_arrays_;
-  std::unique_ptr<ThreadPool> pool_;
+  // This thread's kept ParDo pool, held for the run (null when serial).
+  std::optional<ThreadPoolLease> lease_;
+  ThreadPool* pool_ = nullptr;
   std::vector<Lane> lanes_;  // indexed by chunk; see run_pardo
   std::mutex output_mu_;
   std::string output_;

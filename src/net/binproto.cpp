@@ -306,4 +306,10 @@ bool read_request(std::string_view payload, Request* out, std::string* err) {
   return true;
 }
 
+bool read_response(std::string_view payload, Response* out, std::string* err) {
+  if (is_binary_frame(payload)) return decode_response_binary(payload, out, err);
+  auto doc = json::parse(payload, err);
+  return doc && response_from_json(*doc, out, err);
+}
+
 }  // namespace ap::net

@@ -77,4 +77,8 @@ bool decode_response_binary(std::string_view payload, Response* out,
 // before the semantic checks run.
 bool read_request(std::string_view payload, Request* out, std::string* err);
 
+// Either codec, dispatched on the payload's first byte: a response frame
+// as a client receives it.
+bool read_response(std::string_view payload, Response* out, std::string* err);
+
 }  // namespace ap::net

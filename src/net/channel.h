@@ -15,9 +15,9 @@
 //
 // Transport errors poison the stream (frames cannot be re-associated on
 // a fresh connection), so every in-flight call fails together; the next
-// call reconnects lazily and renegotiates the codec. The coordinator
-// pools one Channel per worker — forwarding concurrency then comes from
-// pipelining instead of connection-per-request.
+// call reconnects lazily and renegotiates the codec. Fleet workers pool
+// one Channel per peer (dist/channel_pool.h) — peer-hop concurrency then
+// comes from pipelining instead of connection-per-request.
 #pragma once
 
 #include <condition_variable>

@@ -124,13 +124,7 @@ bool Client::recv_any(Response* resp, std::string* err) {
   auto payload = recv_frame(err);
   if (!payload) return false;
   std::string decode_err;
-  bool ok;
-  if (is_binary_frame(*payload)) {
-    ok = decode_response_binary(*payload, resp, &decode_err);
-  } else {
-    auto doc = json::parse(*payload, &decode_err);
-    ok = doc && response_from_json(*doc, resp, &decode_err);
-  }
+  bool ok = read_response(*payload, resp, &decode_err);
   if (!ok && err) *err = "undecodable response: " + decode_err;
   return ok;
 }

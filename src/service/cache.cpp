@@ -228,25 +228,12 @@ void ResultCache::store(uint64_t key, const CompileResult& r) {
     uint64_t old_size = std::filesystem::file_size(path, ec);
     if (ec) old_size = 0;
     std::string payload = serialize_result(r);
-    // Atomic publish: write a temp file, then rename over the final name.
     // A reader in another process sharing the cache dir (fleet workers, a
-    // concurrently evicting instance) either sees the complete old entry
-    // or the complete new one — never a torn half-write.
-    const std::string tmp = path + ".tmp";
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (f) {
-      f << payload;
-      f.close();
-      std::error_code rec;
-      std::filesystem::rename(tmp, path, rec);
-      if (rec) {
-        std::filesystem::remove(tmp, rec);
-      } else {
-        // The budget may evict oldest-mtime files across every tier
-        // sharing it (this entry itself is exempt).
-        budget_->charge(path, old_size, payload.size());
-      }
-    }
+    // concurrently evicting instance) sees the complete old entry or the
+    // complete new one. The budget may then evict oldest-mtime files
+    // across every tier sharing it (this entry itself is exempt).
+    if (support::publish_file(path, payload))
+      budget_->charge(path, old_size, payload.size());
   }
 }
 
