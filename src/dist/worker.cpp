@@ -7,6 +7,7 @@
 
 #include "dist/shard.h"
 #include "incr/unit_cache.h"
+#include "net/wire.h"
 
 namespace ap::dist {
 
@@ -121,6 +122,9 @@ bool Worker::start(std::string* err) {
                   std::to_string(server_->port());
 
   if (opts_.coordinator_port > 0) {
+    // Advertise an address, not a name: the coordinator dials workers from
+    // its event loop, where a name lookup could block every client.
+    if (!net::resolve_ipv4(opts_.host, &host_, err)) return false;
     net::Client client;
     if (!client.connect(opts_.coordinator_host, opts_.coordinator_port, err,
                         static_cast<int>(opts_.peer_timeout_ms)))
@@ -128,7 +132,7 @@ bool Worker::start(std::string* err) {
     net::Request req;
     req.type = net::RequestType::Register;
     req.worker.id = id_;
-    req.worker.host = opts_.host;
+    req.worker.host = host_;
     req.worker.port = server_->port();
     net::Response resp;
     if (!client.call(std::move(req), &resp, err)) return false;
@@ -481,7 +485,7 @@ bool Worker::send_heartbeat(bool leaving) {
   net::Request req;
   req.type = net::RequestType::Heartbeat;
   req.worker.id = id_;
-  req.worker.host = opts_.host;
+  req.worker.host = host_;
   req.worker.port = server_->port();
   req.leaving = leaving;
   req.load.queue_depth = server_->queue_depth();

@@ -80,7 +80,7 @@ inline constexpr size_t kMaxQueuedFills = 256;
 
 struct WorkerOptions {
   std::string id;                // "" = derived from pid + port after bind
-  std::string host = "127.0.0.1";
+  std::string host = "127.0.0.1";  // advertised, resolved once at start
   int port = 0;                  // 0 = ephemeral
   int threads = 2;               // compile lanes
   size_t max_queue = 256;
@@ -180,6 +180,7 @@ class Worker {
 
   WorkerOptions opts_;
   std::string id_;
+  std::string host_;  // opts_.host resolved to the IPv4 literal advertised
   std::unique_ptr<service::Scheduler> scheduler_;
   std::unique_ptr<net::Server> server_;
 
