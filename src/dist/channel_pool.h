@@ -1,14 +1,14 @@
 // One kept, pipelined net::Channel per fleet member, keyed by worker id.
 //
-// Every worker reaches its peers through it (cache_probe/cache_fill/
-// unit_probe/unit_fill), so no hop pays a TCP connect once a channel is
-// warm. (The coordinator forwards on its event loop instead, over
-// loop-owned connections; see dist/coordinator.h.) Channels dial lazily on
-// first use. An entry remembers the endpoint it was dialled for: a member
-// re-registering at a new address gets a fresh channel, and retain()
-// drops the channels of members that left the caller's view. A retired
-// channel's counters fold into the pool's totals; calls still in flight
-// on it finish on their own reference.
+// Every worker reaches its peers through it (cache_probe/cache_fill), so
+// no hop pays a TCP connect once a channel is warm. (The coordinator
+// forwards on its event loop instead, over loop-owned connections; see
+// dist/coordinator.h.) Channels dial lazily on first use. An entry
+// remembers the endpoint it was dialled for: a member re-registering at a
+// new address gets a fresh channel, and retain() drops the channels of
+// members that left the caller's view. A retired channel's counters fold
+// into the pool's totals; calls still in flight on it finish on their own
+// reference.
 #pragma once
 
 #include <cstdint>

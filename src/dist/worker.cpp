@@ -3,10 +3,8 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <map>
 
 #include "dist/shard.h"
-#include "incr/unit_cache.h"
 #include "net/wire.h"
 
 namespace ap::dist {
@@ -56,26 +54,6 @@ bool Worker::start(std::string* err) {
       f.req.trace_id = trace_id;
       enqueue_fill(std::move(f));
     };
-    // Unit-artifact tier: a boundary's misses ask the fleet before the
-    // pass recomputes, and fresh snapshots queue for the same ranked
-    // peers. The lookup fires outside the cache mutex (network I/O).
-    if (opts_.unit_cache) {
-      opts_.unit_cache->set_peer_lookup(
-          [this](const std::string&, const std::vector<uint64_t>& keys) {
-            return unit_peer_lookup(keys);
-          });
-      opts_.unit_cache->set_store_hook(
-          [this](const std::string& boundary, uint64_t key,
-                 const std::string& payload) {
-            if (opts_.replicate <= 0) return;
-            Fill f{key, {}};
-            f.req.type = net::RequestType::UnitFill;
-            f.req.key = net::format_key(key);
-            f.req.boundary = boundary;
-            f.req.payload = payload;
-            enqueue_fill(std::move(f));
-          });
-    }
   }
   scheduler_ = std::make_unique<service::Scheduler>(so);
 
@@ -102,12 +80,7 @@ bool Worker::start(std::string* err) {
         .set("fills_sent", ps.fills_sent)
         .set("fills_received", ps.fills_received)
         .set("peer_hits", ps.peer_hits)
-        .set("fills_dropped", ps.fills_dropped)
-        .set("unit_probes_sent", ps.unit_probes_sent)
-        .set("unit_probe_hits", ps.unit_probe_hits)
-        .set("unit_fills_sent", ps.unit_fills_sent)
-        .set("unit_fills_received", ps.unit_fills_received)
-        .set("unit_peer_hits", ps.unit_peer_hits);
+        .set("fills_dropped", ps.fills_dropped);
     out->set("peer_cache", std::move(peer));
   };
   server_ = std::make_unique<net::Server>(no);
@@ -201,13 +174,6 @@ service::PeerCacheStats Worker::peer_stats() const {
   s.fills_received = fills_received_.load();
   s.peer_hits = peer_hits_.load();
   s.fills_dropped = fills_dropped_.load();
-  s.unit_probes_sent = unit_probes_sent_.load();
-  s.unit_probe_hits = unit_probe_hits_.load();
-  s.unit_fills_sent = unit_fills_sent_.load();
-  s.unit_fills_received = unit_fills_received_.load();
-  // A successful unit probe IS a unit served from the peer tier (the
-  // UnitCache adopts the payload and counts the hit on its side too).
-  s.unit_peer_hits = unit_probe_hits_.load();
   return s;
 }
 
@@ -257,41 +223,6 @@ bool Worker::control(const net::Request& req, net::Response* resp) {
       }
       resp->status = net::Status::Error;
       resp->error = "undecodable cache_fill payload";
-      return true;
-    }
-    case net::RequestType::UnitProbe: {
-      // One slot per asked key, in key order; empty = not held. Local
-      // tiers only (peek): answering a probe must never recurse into this
-      // worker's own peer hook. (validate() vetted every key.)
-      resp->payloads.resize(req.keys.size());
-      if (!opts_.unit_cache) return true;
-      for (size_t i = 0; i < req.keys.size(); ++i) {
-        uint64_t key = 0;
-        net::parse_key(req.keys[i], &key);
-        if (auto payload = opts_.unit_cache->peek(key))
-          resp->payloads[i] = std::move(*payload);
-      }
-      return true;
-    }
-    case net::RequestType::UnitFill: {
-      uint64_t key = 0;
-      if (!net::parse_key(req.key, &key)) {
-        resp->status = net::Status::Error;
-        resp->error = "unparseable unit key";
-        return true;
-      }
-      if (req.boundary.empty()) {
-        resp->status = net::Status::Error;
-        resp->error = "unit_fill requires a \"boundary\"";
-        return true;
-      }
-      // The payload is opaque here — only the snapshotting pass that
-      // owns the boundary can validate it, and a bad payload is caught
-      // at restore time (the unit just recomputes).
-      if (opts_.unit_cache) {
-        opts_.unit_cache->adopt(req.boundary, key, req.payload);
-        unit_fills_received_.fetch_add(1);
-      }
       return true;
     }
     default:
@@ -363,44 +294,6 @@ std::optional<service::CompileResult> Worker::peer_lookup(uint64_t key,
   return std::nullopt;
 }
 
-std::vector<std::optional<std::string>> Worker::unit_peer_lookup(
-    const std::vector<uint64_t>& keys) {
-  // Same rendezvous ranking as whole-result probes: the unit keyspace is
-  // shared fleet-wide, so the most likely holder of a key is the worker
-  // that owns (or recently owned) its shard.
-  std::vector<std::optional<std::string>> out(keys.size());
-  const std::vector<net::WorkerInfo> view = peers();
-  const size_t budget = static_cast<size_t>(std::max(0, opts_.probe_peers));
-  std::vector<std::vector<net::WorkerInfo>> ranks;
-  ranks.reserve(keys.size());
-  for (uint64_t key : keys) ranks.push_back(ranked_peers(view, id_, key));
-  // Round r asks each key still missing of its r-th ranked peer, one
-  // unit_probe per peer carrying all of that peer's keys.
-  for (size_t round = 0; round < budget; ++round) {
-    std::map<std::string, std::vector<size_t>> asked;  // peer id -> keys
-    for (size_t i = 0; i < keys.size(); ++i)
-      if (!out[i] && round < ranks[i].size())
-        asked[ranks[i][round].id].push_back(i);
-    if (asked.empty()) break;
-    for (const auto& [id, idx] : asked) {
-      net::Request req;
-      req.type = net::RequestType::UnitProbe;
-      for (size_t i : idx) req.keys.push_back(net::format_key(keys[i]));
-      net::Response resp;
-      unit_probes_sent_.fetch_add(1);
-      if (!peer_call(ranks[idx.front()][round], std::move(req), &resp) ||
-          resp.status != net::Status::Ok)
-        continue;
-      for (size_t j = 0; j < idx.size() && j < resp.payloads.size(); ++j) {
-        if (resp.payloads[j].empty()) continue;
-        out[idx[j]] = std::move(resp.payloads[j]);
-        unit_probe_hits_.fetch_add(1);
-      }
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Replication: the fill queue
 // ---------------------------------------------------------------------------
@@ -442,9 +335,6 @@ void Worker::send_fill(Fill& f, std::vector<std::string>* failed) {
   auto candidates = ranked_peers(peers(), id_, f.key);
   size_t n = std::min(candidates.size(),
                       static_cast<size_t>(std::max(0, opts_.replicate)));
-  std::atomic<uint64_t>& sent = f.req.type == net::RequestType::CacheFill
-                                    ? fills_sent_
-                                    : unit_fills_sent_;
   for (size_t i = 0; i < n; ++i) {
     const net::WorkerInfo& peer = candidates[i];
     if (std::find(failed->begin(), failed->end(), peer.id) != failed->end())
@@ -455,7 +345,7 @@ void Worker::send_fill(Fill& f, std::vector<std::string>* failed) {
     if (!peer_call(peer, std::move(req), &resp))
       failed->push_back(peer.id);
     else if (resp.status == net::Status::Ok)
-      sent.fetch_add(1);
+      fills_sent_.fetch_add(1);
   }
 }
 

@@ -7,10 +7,10 @@
 // Every register/heartbeat response refreshes this worker's view of its
 // routable peers, so the peer list needs no separate gossip.
 //
-// Peer plane: every hop to a peer (cache_probe, cache_fill, unit_probe,
-// unit_fill) rides one lazily dialled, pipelined net::Channel per peer
-// (dist/channel_pool.h), retired when the peer leaves this worker's view,
-// so no hop pays a TCP connect once the fleet is warm. Heartbeats to the
+// Peer plane: every hop to a peer (cache_probe, cache_fill) rides one
+// lazily dialled, pipelined net::Channel per peer (dist/channel_pool.h),
+// retired when the peer leaves this worker's view, so no hop pays a TCP
+// connect once the fleet is warm. Heartbeats to the
 // coordinator dial per beat.
 //
 // Peer cache tier: the scheduler's peer_lookup hook fires on a local
@@ -29,19 +29,15 @@
 // its own: every thread that allocates gets its own malloc arena, and one
 // more per worker raised a fleet's peak RSS ~20%.)
 //
-// Unit-artifact tier: when a UnitCache is attached, the same pattern
-// runs one level down. When a pass boundary's units miss both local
-// tiers, all the missed keys go to the ranked peers in one `unit_probe`
-// per peer before the pass recomputes them (keys a peer answered are not
-// asked of the next); fresh unit snapshots join the same fill queue and
-// go out as `unit_fill` after the reply — so a late-joining or resharded
-// worker resumes apps mid-pipeline from artifacts its peers already
-// computed, without ever holding the whole-request result.
+// Unit-artifact tier: an attached UnitCache is this worker's alone. Its
+// snapshots are never probed from or replicated to peers — in an edit
+// stream a peer held almost none of the keys a worker missed — so a
+// worker new to an app recompiles its units.
 //
 // Serving: the worker accepts coordinator-wrapped `forward` requests and
 // plain compile/run (it remains a valid single-node endpoint), and
-// answers `cache_probe`/`cache_fill`/`unit_probe`/`unit_fill` from peers
-// on the loop thread (cache lookups only — never a compile).
+// answers `cache_probe`/`cache_fill` from peers on the loop thread (cache
+// lookups only — never a compile).
 //
 // Departure: begin_drain() announces `leaving` in a final heartbeat and
 // drains the server (graceful — the coordinator stops routing here
@@ -98,7 +94,7 @@ struct WorkerOptions {
   int64_t slow_ms = 0;
   service::ResultCache* cache = nullptr;     // required
   service::Telemetry* telemetry = nullptr;   // optional
-  incr::UnitCache* unit_cache = nullptr;     // optional incremental tier
+  incr::UnitCache* unit_cache = nullptr;     // optional, process-local
 };
 
 class Worker {
@@ -141,8 +137,8 @@ class Worker {
  private:
   using clock = std::chrono::steady_clock;
 
-  // A queued replication: the cache_fill or unit_fill request, built by
-  // the thread that stored it, and its key.
+  // A queued replication: the cache_fill request, built by the thread
+  // that stored it, and its key.
   struct Fill {
     uint64_t key = 0;
     net::Request req;
@@ -156,11 +152,6 @@ class Worker {
   std::optional<service::CompileResult> peer_lookup(uint64_t key,
                                                     uint64_t trace_id,
                                                     obs::Span* span);
-  // Unit-artifact lookup (installed on the attached UnitCache): one
-  // boundary's missed keys, asked of each key's ranked peers in rounds —
-  // one unit_probe per peer per round; slot i answers keys[i].
-  std::vector<std::optional<std::string>> unit_peer_lookup(
-      const std::vector<uint64_t>& keys);
   // One call over `peer`'s kept channel; false on a transport failure.
   bool peer_call(const net::WorkerInfo& peer, net::Request req,
                  net::Response* resp);
@@ -210,10 +201,6 @@ class Worker {
   std::atomic<uint64_t> fills_received_{0};
   std::atomic<uint64_t> fills_dropped_{0};
   std::atomic<uint64_t> peer_hits_{0};
-  std::atomic<uint64_t> unit_probes_sent_{0};
-  std::atomic<uint64_t> unit_probe_hits_{0};
-  std::atomic<uint64_t> unit_fills_sent_{0};
-  std::atomic<uint64_t> unit_fills_received_{0};
 };
 
 }  // namespace ap::dist

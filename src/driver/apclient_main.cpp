@@ -66,9 +66,6 @@
 //                        hit-rate guard)
 //   --min-unit-hit-rate F  (--edit-loop) exit 2 unless unit cache hits /
 //                        unit lookups across the edit iterations >= F
-//   --min-unit-peer-hits N  (--edit-loop) exit 2 unless at least N unit
-//                        hits across the edit iterations were served by a
-//                        fleet peer (the fleet-smoke late-join guard)
 //   --stop-after PASS    stop the pipeline after the named pass (parse,
 //                        conv-inline, annot-inline, normalize, parallelize,
 //                        reverse-inline, collect-metrics)
@@ -136,7 +133,6 @@ struct Args {
   int edit_loop = 0;
   std::string edit_unit;
   double min_unit_hit_rate = -1;
-  int64_t min_unit_peer_hits = -1;
   int64_t deadline_ms = 0;
   int timeout_ms = 120'000;
   std::string stop_after;
@@ -153,7 +149,7 @@ struct Args {
                "[--run-threads N] [--connections N] [--pipeline N] "
                "[--batch N] [--codec auto|json|binary] [--check] "
                "[--min-hit-rate F] [--edit-loop N] [--edit-unit NAME] "
-               "[--min-unit-hit-rate F] [--min-unit-peer-hits N] "
+               "[--min-unit-hit-rate F] "
                "[--stop-after PASS] [--print-after PASS] "
                "[--deadline-ms N] [--timeout-ms N] "
                "[--quiet]\n",
@@ -238,10 +234,6 @@ Args parse_args(int argc, char** argv) {
       a.edit_unit = value();
     } else if (arg == "--min-unit-hit-rate") {
       a.min_unit_hit_rate = std::atof(value());
-    } else if (arg == "--min-unit-peer-hits") {
-      a.min_unit_peer_hits = std::atoll(value());
-      if (a.min_unit_peer_hits < 0)
-        usage_error("--min-unit-peer-hits must be >= 0");
     } else if (arg == "--stop-after") {
       a.stop_after = value();
     } else if (arg == "--print-after") {
@@ -272,12 +264,8 @@ Args parse_args(int argc, char** argv) {
   if (a.pipeline > 1 && !a.matrix) usage_error("--pipeline requires --matrix");
   if (a.edit_loop > 0 && a.app_name.empty())
     usage_error("--edit-loop requires --app");
-  if ((!a.edit_unit.empty() || a.min_unit_hit_rate >= 0 ||
-       a.min_unit_peer_hits >= 0) &&
-      a.edit_loop == 0)
-    usage_error(
-        "--edit-unit/--min-unit-hit-rate/--min-unit-peer-hits require "
-        "--edit-loop");
+  if ((!a.edit_unit.empty() || a.min_unit_hit_rate >= 0) && a.edit_loop == 0)
+    usage_error("--edit-unit/--min-unit-hit-rate require --edit-loop");
   return a;
 }
 
@@ -571,7 +559,6 @@ int run_edit_loop(const Args& args) {
                warm.cache_hit ? " (request cache hit)" : "");
 
   size_t unit_hits = 0, unit_misses = 0, unit_invalidated = 0;
-  size_t unit_disk_hits = 0, unit_peer_hits = 0;
   int failed = 0;
   for (int iter = 1; iter <= args.edit_loop; ++iter) {
     const std::string& unit = units[(iter - 1) % units.size()];
@@ -594,16 +581,10 @@ int run_edit_loop(const Args& args) {
     unit_hits += r.unit_hits;
     unit_misses += r.unit_misses;
     unit_invalidated += r.unit_invalidated;
-    unit_disk_hits += r.unit_disk_hits;
-    unit_peer_hits += r.unit_peer_hits;
-    // Tier split: hits not served from disk or a peer came from memory.
     std::fprintf(stderr,
-                 "apclient: edit %d (%s): %zu unit hits "
-                 "(%zu memory / %zu disk / %zu peer), %zu misses "
+                 "apclient: edit %d (%s): %zu unit hits, %zu misses "
                  "(%zu invalidated by the edit)\n",
-                 iter, unit.c_str(), r.unit_hits,
-                 r.unit_hits - r.unit_disk_hits - r.unit_peer_hits,
-                 r.unit_disk_hits, r.unit_peer_hits, r.unit_misses,
+                 iter, unit.c_str(), r.unit_hits, r.unit_misses,
                  r.unit_invalidated);
   }
 
@@ -611,23 +592,12 @@ int run_edit_loop(const Args& args) {
   double rate = lookups ? static_cast<double>(unit_hits) / lookups : 0.0;
   std::fprintf(stderr,
                "apclient: edit-loop: %d edits, unit hit rate %.2f "
-               "(%zu hits / %zu lookups: %zu memory / %zu disk / %zu peer, "
-               "%zu invalidated)\n",
-               args.edit_loop, rate, unit_hits, lookups,
-               unit_hits - unit_disk_hits - unit_peer_hits, unit_disk_hits,
-               unit_peer_hits, unit_invalidated);
+               "(%zu hits / %zu lookups, %zu invalidated)\n",
+               args.edit_loop, rate, unit_hits, lookups, unit_invalidated);
   if (failed) return 1;
   if (args.min_unit_hit_rate >= 0 && rate < args.min_unit_hit_rate) {
     std::fprintf(stderr, "apclient: unit hit rate %.2f below required %.2f\n",
                  rate, args.min_unit_hit_rate);
-    return 2;
-  }
-  if (args.min_unit_peer_hits >= 0 &&
-      unit_peer_hits < static_cast<size_t>(args.min_unit_peer_hits)) {
-    std::fprintf(stderr,
-                 "apclient: %zu unit peer hits below required %lld\n",
-                 unit_peer_hits,
-                 static_cast<long long>(args.min_unit_peer_hits));
     return 2;
   }
   return 0;

@@ -17,10 +17,10 @@
 //   --cache-max-mb N    disk-tier byte budget in MiB; oldest entries are
 //                       evicted on store once exceeded (0 = unlimited)
 //   --incremental       enable the unit-granular incremental cache
-//                       (src/incr): request-level misses reuse every unit
-//                       whose CALL/COMMON dependence closure is unchanged;
-//                       the disk tier lives under <cache-dir>/units when
-//                       --cache-dir is set
+//                       (src/incr): request-level misses reuse the
+//                       parallelize result of every unit whose CALL/COMMON
+//                       dependence closure is unchanged; held in memory
+//                       only, for the life of the process
 //   --json FILE         write the telemetry JSON to FILE ("-" = stdout,
 //                       the default)
 //   --min-hit-rate F    exit 2 unless cache hits / jobs >= F (CI warm-run
@@ -54,7 +54,6 @@
 #include "incr/unit_cache.h"
 #include "interp/interp.h"
 #include "service/scheduler.h"
-#include "support/disk_budget.h"
 
 using namespace ap;
 
@@ -151,15 +150,10 @@ int main(int argc, char** argv) {
     args.threads = hw ? static_cast<int>(hw) : 1;
   }
 
-  // One byte budget across both disk tiers: --cache-max-mb caps the
-  // combined footprint of whole-request results and unit artifacts.
-  support::DiskBudget budget(args.cache_max_mb * 1024 * 1024);
-  service::ResultCache cache(args.cache_capacity, args.cache_dir, 0, &budget);
+  service::ResultCache cache(args.cache_capacity, args.cache_dir,
+                             args.cache_max_mb * 1024 * 1024);
   std::unique_ptr<incr::UnitCache> unit_cache;
-  if (args.incremental)
-    unit_cache = std::make_unique<incr::UnitCache>(
-        4096, args.cache_dir.empty() ? "" : args.cache_dir + "/units",
-        &budget);
+  if (args.incremental) unit_cache = std::make_unique<incr::UnitCache>();
   service::Telemetry telemetry;
   service::Scheduler::Options sopts;
   sopts.threads = args.threads;

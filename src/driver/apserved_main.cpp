@@ -61,6 +61,13 @@
 //                          request before giving up (default 3)
 //   --replicate N          (--worker) peers to push each fresh result to
 //                          (default 1)
+//   --incremental          enable the unit-granular incremental cache
+//                          (src/incr) in the single-node and --worker
+//                          roles: a request-level miss reuses the
+//                          parallelize result of every unit whose
+//                          CALL/COMMON dependence closure is unchanged;
+//                          held in this process's memory only (never on
+//                          disk, never shared with peers)
 //   --slow-ms N            dump the flight recorder (the ring of recent
 //                          request events) to stderr whenever a request
 //                          exceeds N ms (default 0 = never). SIGUSR1
@@ -78,7 +85,6 @@
 #include "dist/worker.h"
 #include "incr/unit_cache.h"
 #include "net/server.h"
-#include "support/disk_budget.h"
 
 using namespace ap;
 
@@ -111,15 +117,10 @@ struct Args {
 };
 
 // The unit-granular incremental tier (enabled by --incremental); shared by
-// the single-node and worker serving paths. The disk tier lives under
-// <cache-dir>/units when --cache-dir is set, and charges the SAME byte
-// budget as the whole-request tier so --cache-max-mb caps their combined
-// footprint.
-std::unique_ptr<incr::UnitCache> make_unit_cache(const Args& args,
-                                                 support::DiskBudget* budget) {
+// the single-node and worker serving paths.
+std::unique_ptr<incr::UnitCache> make_unit_cache(const Args& args) {
   if (!args.incremental) return nullptr;
-  return std::make_unique<incr::UnitCache>(
-      4096, args.cache_dir.empty() ? "" : args.cache_dir + "/units", budget);
+  return std::make_unique<incr::UnitCache>();
 }
 
 [[noreturn]] void usage_error(const char* msg) {
@@ -315,11 +316,9 @@ int run_coordinator(const Args& args) {
 }
 
 int run_worker(const Args& args) {
-  // One byte budget across both disk tiers (results + unit artifacts).
-  support::DiskBudget budget(args.cache_max_mb * 1024 * 1024);
-  service::ResultCache cache(args.cache_capacity, args.cache_dir, 0, &budget);
-  std::unique_ptr<incr::UnitCache> unit_cache =
-      make_unit_cache(args, &budget);
+  service::ResultCache cache(args.cache_capacity, args.cache_dir,
+                             args.cache_max_mb * 1024 * 1024);
+  std::unique_ptr<incr::UnitCache> unit_cache = make_unit_cache(args);
   service::Telemetry telemetry;
   dist::WorkerOptions wo;
   wo.id = args.worker_id;
@@ -370,11 +369,9 @@ int run_worker(const Args& args) {
 }
 
 int run_single(const Args& args) {
-  // One byte budget across both disk tiers (results + unit artifacts).
-  support::DiskBudget budget(args.cache_max_mb * 1024 * 1024);
-  service::ResultCache cache(args.cache_capacity, args.cache_dir, 0, &budget);
-  std::unique_ptr<incr::UnitCache> unit_cache =
-      make_unit_cache(args, &budget);
+  service::ResultCache cache(args.cache_capacity, args.cache_dir,
+                             args.cache_max_mb * 1024 * 1024);
+  std::unique_ptr<incr::UnitCache> unit_cache = make_unit_cache(args);
   service::Telemetry telemetry;
   // The daemon's own worker lanes provide the concurrency; the scheduler
   // is used for its cache-aware dispatch, not its pool.

@@ -5,7 +5,6 @@
 #include "incr/artifacts.h"
 #include "incr/plan.h"
 #include "incr/unit_cache.h"
-#include "incr/unit_serial.h"
 #include "par/parallelizer.h"
 #include "sema/symbols.h"
 #include "xform/normalize.h"
@@ -133,45 +132,6 @@ class NormalizePass : public pm::Pass {
 
   void run_unit(fir::ProgramUnit& unit, size_t, DiagnosticEngine&) override {
     if (cx_.opts.par.normalize) xform::normalize_unit(unit);
-  }
-
-  // Artifact hooks: the payload is the whole post-normalize unit
-  // (incr/unit_serial.h). A restore replaces the current post-inline unit
-  // with the cached normalized one, so a warm compile skips normalize for
-  // that unit. The driver only enrolls this boundary when par.normalize is
-  // on (a disabled normalize is a no-op not worth a payload).
-  bool snapshotable() const override { return true; }
-
-  std::string snapshot_unit_artifact(const fir::ProgramUnit& unit,
-                                     size_t) override {
-    return incr::serialize_unit(unit);
-  }
-
-  bool restore_unit_artifact(fir::ProgramUnit& unit, size_t,
-                             const std::string& payload) override {
-    auto restored = incr::deserialize_unit(payload);
-    if (!restored || !*restored) return false;
-    // The snapshot carries origin_ids from ITS parse; the parser numbers
-    // loops globally, so an edit elsewhere in the program can renumber
-    // this unit's loops without changing its content. normalize_unit never
-    // adds, removes or reorders DO statements, so the current (pre-
-    // normalize) unit's pre-order ids are reassigned positionally onto the
-    // restored body.
-    std::vector<int64_t> current_ids;
-    fir::walk_stmts(unit.body, [&](const fir::Stmt& s) {
-      if (s.kind == fir::StmtKind::Do) current_ids.push_back(s.origin_id);
-      return true;
-    });
-    std::vector<fir::Stmt*> restored_dos;
-    fir::walk_stmts((*restored)->body, [&](fir::Stmt& s) {
-      if (s.kind == fir::StmtKind::Do) restored_dos.push_back(&s);
-      return true;
-    });
-    if (current_ids.size() != restored_dos.size()) return false;
-    for (size_t i = 0; i < restored_dos.size(); ++i)
-      restored_dos[i]->origin_id = current_ids[i];
-    unit = std::move(**restored);
-    return true;
   }
 
  private:

@@ -56,29 +56,6 @@ uint64_t hash_pipeline_options(uint64_t h, const PipelineOptions& o) {
   return h;
 }
 
-namespace {
-
-// Option hash for the normalize boundary: everything that shapes a unit's
-// text at that point in the pipeline — the inlining configuration and its
-// knobs plus whether normalize itself runs. Deliberately EXCLUDES the
-// dependence-test options (par.min_trip, Banerjee, ...): a normalize-
-// boundary artifact stays valid when only the parallelizer's options
-// change, which is exactly what makes the boundary worth snapshotting.
-uint64_t hash_normalize_boundary(const PipelineOptions& o) {
-  uint64_t h = kFnvOffset;
-  h = fnv_u64(h, static_cast<uint64_t>(static_cast<int>(o.config)));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_stmts));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_callee_calls));
-  h = fnv_u64(h, (o.conv.require_in_loop ? 1u : 0u) |
-                     (o.conv.eliminate_dead_units ? 2u : 0u));
-  h = fnv_u64(h, static_cast<uint64_t>(o.conv.max_passes));
-  h = fnv_u64(h, o.annot.require_in_loop ? 1u : 0u);
-  h = fnv_u64(h, o.par.normalize ? 1u : 0u);
-  return h;
-}
-
-}  // namespace
-
 PipelineResult run_pipeline(const suite::BenchmarkApp& app,
                             const PipelineOptions& opts) {
   using clock = std::chrono::steady_clock;
@@ -105,9 +82,9 @@ PipelineResult run_pipeline(const suite::BenchmarkApp& app,
     mopts.pool = local_pool.get();
   }
 
-  // Pass-boundary artifact store: one plan over the ORIGINAL source serves
-  // every snapshotting pass; the artifact layer scopes each boundary with
-  // its own option hash. The parse pass builds the plan from its program,
+  // Pass-boundary artifact store: one plan over the ORIGINAL source keys
+  // the one snapshotting pass, parallelize, scoped by the whole pipeline
+  // option hash. The parse pass builds the plan from its program,
   // before any inliner runs. The plan fingerprints the pre-inline
   // CALL/COMMON graph, so a post-inline unit's key covers every input that
   // can shape it (inlining only moves content inward from the closure; the
@@ -118,8 +95,6 @@ PipelineResult run_pipeline(const suite::BenchmarkApp& app,
   if (opts.unit_cache) {
     artifacts = std::make_unique<incr::PassArtifacts>(opts.unit_cache);
     cx.artifacts = artifacts.get();
-    if (opts.par.normalize)
-      artifacts->enroll("normalize", hash_normalize_boundary(opts));
     artifacts->enroll("parallelize", hash_pipeline_options(kFnvOffset, opts));
     mopts.artifacts = artifacts.get();
   }
@@ -134,14 +109,11 @@ PipelineResult run_pipeline(const suite::BenchmarkApp& app,
   result.timings.passes = manager.records();
   result.print_dump = manager.print_dump();
   result.stopped_early = manager.stopped_early();
-  // Request-level unit counters keep their historical meaning: the
-  // deepest boundary's outcome. Per-boundary detail stays in the records.
+  // Request-level unit counters: the snapshot boundary's outcome.
   if (const pm::PassRecord* rec = result.timings.find("parallelize")) {
     result.unit_hits = static_cast<size_t>(rec->unit_hits);
     result.unit_misses = static_cast<size_t>(rec->unit_misses);
     result.unit_invalidated = static_cast<size_t>(rec->unit_invalidated);
-    result.unit_disk_hits = static_cast<size_t>(rec->unit_disk_hits);
-    result.unit_peer_hits = static_cast<size_t>(rec->unit_peer_hits);
   }
   result.timings.total_ms =
       std::chrono::duration<double, std::milli>(clock::now() - t_start)

@@ -66,10 +66,10 @@ struct PipelineOptions {
   ThreadPool* unit_pool = nullptr;  // shared pool (overrides unit_threads)
   bool verify = false;  // force the AST verifier (also on via AP_VERIFY)
 
-  // Unit-granular incremental cache (src/incr). When set, every
-  // snapshotting pass boundary (normalize, parallelize) consults it per
-  // unit (keyed by the unit's dependence-closure fingerprint x boundary
-  // option hash x pass-sequence prefix) and stores fresh artifacts.
+  // Unit-granular incremental cache (src/incr). When set, the parallelize
+  // pass consults it per unit (keyed by the unit's dependence-closure
+  // fingerprint x pipeline option hash x pass-sequence prefix) and stores
+  // fresh artifacts.
   // Semantics-neutral like the execution knobs above — hits are
   // bit-identical to a cold compile — and therefore NOT part of the
   // request cache key.
@@ -124,18 +124,13 @@ struct PipelineResult {
   // True when stop_after cut the sequence short (later metrics are empty).
   bool stopped_early = false;
 
-  // Unit-cache outcome of this run (all zero when no unit_cache attached),
-  // reported for the deepest boundary — parallelize — to keep the
-  // historical request-level meaning: units served from the incremental
-  // cache, units recomputed, the subset of misses caused by a changed
-  // dependency rather than a changed unit, and the hit split by serving
-  // tier (disk, fleet peer; memory = hits - disk - peer). Per-boundary
-  // detail lives in timings.passes[*].unit_*.
+  // Unit-cache outcome of this run at the parallelize boundary (all zero
+  // when no unit_cache attached): units restored from the incremental
+  // cache, units recomputed, and the subset of misses caused by a changed
+  // dependency rather than a changed unit.
   size_t unit_hits = 0;
   size_t unit_misses = 0;
   size_t unit_invalidated = 0;
-  size_t unit_disk_hits = 0;
-  size_t unit_peer_hits = 0;
 };
 
 PipelineResult run_pipeline(const suite::BenchmarkApp& app,

@@ -42,20 +42,6 @@ std::vector<pm::ArtifactProbe> PassArtifacts::find_units(
     UnitFindResult& r = found[j];
     probe.invalidated = r.invalidated;
     probe.payload = std::move(r.payload);
-    switch (r.tier) {
-      case UnitTier::None:
-        probe.tier = pm::ArtifactTier::None;
-        break;
-      case UnitTier::Memory:
-        probe.tier = pm::ArtifactTier::Memory;
-        break;
-      case UnitTier::Disk:
-        probe.tier = pm::ArtifactTier::Disk;
-        break;
-      case UnitTier::Peer:
-        probe.tier = pm::ArtifactTier::Peer;
-        break;
-    }
   }
   return probes;
 }

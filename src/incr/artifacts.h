@@ -10,11 +10,10 @@
 //              pass name )
 //
 // Only enrolled boundaries participate: the driver registers each
-// snapshotting pass with its option hash (enroll()), so e.g. the
-// normalize boundary is keyed by the inliner+normalize options while the
-// parallelize boundary is keyed by the whole pipeline hash. A pass not
-// enrolled probes as not-participating and the manager runs it normally
-// with zero counters.
+// snapshotting pass with its option hash (enroll()) — only
+// parallelize, keyed by the whole pipeline hash. A pass not enrolled
+// probes as not-participating and the manager runs it normally with zero
+// counters.
 //
 // When the plan is unusable (defensive token-split mismatch) or a unit is
 // unknown to it, the probe still reports participating=true with no
@@ -49,8 +48,8 @@ class PassArtifacts : public pm::ArtifactStore {
     boundaries_[pass_name] = opts_hash;
   }
 
-  // One UnitCache::find_many for every unit the plan knows, so the
-  // boundary's local misses reach the fleet in one lookup.
+  // One UnitCache::find_many for every unit the plan knows (one lock
+  // acquisition per boundary).
   std::vector<pm::ArtifactProbe> find_units(
       std::string_view pass_name, uint64_t prefix_fp,
       const std::vector<std::string>& unit_names) override;

@@ -1,22 +1,10 @@
 #include "incr/unit_cache.h"
 
-#include <cinttypes>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <sstream>
-
-#include "support/disk_budget.h"
 
 namespace ap::incr {
 
 namespace {
-
-std::string hex16(uint64_t key) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, key);
-  return buf;
-}
 
 void wr_str(std::ostream& s, const std::string& v) {
   s << v.size() << "\n" << v << "\n";
@@ -196,99 +184,29 @@ std::optional<UnitSnapshot> deserialize_snapshot(std::string_view text) {
 
 void IncrStats::add(const IncrStats& o) {
   memory_hits += o.memory_hits;
-  disk_hits += o.disk_hits;
-  peer_hits += o.peer_hits;
   misses += o.misses;
   invalidated_by_dep += o.invalidated_by_dep;
   stores += o.stores;
   evictions += o.evictions;
 }
 
-UnitCache::UnitCache(size_t capacity, std::string disk_dir,
-                     support::DiskBudget* budget)
-    : capacity_(capacity < 1 ? 1 : capacity),
-      disk_dir_(std::move(disk_dir)),
-      budget_(budget) {
-  if (!disk_dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(disk_dir_, ec);
-    if (budget_) budget_->add_dir(disk_dir_, ".apu");
-  }
-}
-
-void UnitCache::set_peer_lookup(PeerLookup fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  peer_lookup_ = std::move(fn);
-}
-
-void UnitCache::set_store_hook(StoreHook fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-  store_hook_ = std::move(fn);
-}
-
-std::string UnitCache::disk_path(uint64_t key) const {
-  return disk_dir_ + "/" + hex16(key) + ".apu";
-}
-
-std::optional<std::string> UnitCache::probe_local_locked(
-    const std::string& boundary, uint64_t key, UnitTier* tier) {
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_[boundary].memory_hits;
-    *tier = UnitTier::Memory;
-    return it->second->payload;
-  }
-  if (!disk_dir_.empty()) {
-    std::ifstream f(disk_path(key), std::ios::binary);
-    if (f) {
-      std::ostringstream buf;
-      buf << f.rdbuf();
-      std::string payload = buf.str();
-      if (!payload.empty()) {
-        insert_memory_locked(key, payload);
-        ++stats_[boundary].disk_hits;
-        *tier = UnitTier::Disk;
-        return payload;
-      }
-    }
-  }
-  return std::nullopt;
-}
+UnitCache::UnitCache(size_t capacity)
+    : capacity_(capacity < 1 ? 1 : capacity) {}
 
 std::vector<UnitFindResult> UnitCache::find_many(
     const std::string& boundary, const std::vector<UnitQuery>& queries) {
   std::vector<UnitFindResult> out(queries.size());
-  std::vector<size_t> missed;
-  std::unique_lock<std::mutex> lock(mu_);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    out[i].payload = probe_local_locked(boundary, queries[i].key, &out[i].tier);
-    if (!out[i].payload) missed.push_back(i);
-  }
-  PeerLookup peer = peer_lookup_;
-  if (peer && !missed.empty()) {
-    std::vector<uint64_t> keys;
-    keys.reserve(missed.size());
-    for (size_t i : missed) keys.push_back(queries[i].key);
-    // One fleet lookup for every local miss, outside the mutex: other
-    // lanes keep probing meanwhile.
-    lock.unlock();
-    std::vector<std::optional<std::string>> got = peer(boundary, keys);
-    lock.lock();
-    for (size_t j = 0; j < missed.size() && j < got.size(); ++j) {
-      if (!got[j]) continue;
-      UnitFindResult& r = out[missed[j]];
-      insert_memory_locked(keys[j], *got[j]);
-      write_disk_locked(keys[j], *got[j]);
-      ++stats_[boundary].peer_hits;
-      r.tier = UnitTier::Peer;
-      r.payload = std::move(got[j]);
-    }
-  }
+  std::lock_guard<std::mutex> lock(mu_);
   IncrStats& st = stats_[boundary];
   auto& by_fp = last_key_by_fp_[boundary];
-  for (size_t i : missed) {
-    if (out[i].payload) continue;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto it = index_.find(queries[i].key);
+    if (it != index_.end()) {
+      lru_.splice(lru_.begin(), lru_, it->second);
+      ++st.memory_hits;
+      out[i].payload = it->second->payload;
+      continue;
+    }
     ++st.misses;
     auto fp_it = by_fp.find(queries[i].own_fp);
     if (fp_it != by_fp.end() && fp_it->second != queries[i].key) {
@@ -306,94 +224,39 @@ UnitFindResult UnitCache::find(const std::string& boundary, uint64_t key,
 
 void UnitCache::store(const std::string& boundary, uint64_t key,
                       uint64_t own_fp, const std::string& payload) {
-  StoreHook hook;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = insert_memory_locked(key, payload);
-    if (it->boundary != boundary || it->own_fp != own_fp)
-      forget_pair_locked(*it);
-    it->boundary = boundary;
-    it->own_fp = own_fp;
-    last_key_by_fp_[boundary][own_fp] = key;
-    ++stats_[boundary].stores;
-    write_disk_locked(key, payload);
-    hook = store_hook_;
-  }
-  if (hook) hook(boundary, key, payload);
-}
-
-std::optional<std::string> UnitCache::peek(uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
+  ++stats_[boundary].stores;
   auto it = index_.find(key);
   if (it != index_.end()) {
+    Entry& e = *it->second;
+    if (e.boundary != boundary || e.own_fp != own_fp) forget_pair_locked(e);
+    e.payload = payload;
+    e.boundary = boundary;
+    e.own_fp = own_fp;
     lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->payload;
-  }
-  if (!disk_dir_.empty()) {
-    std::ifstream f(disk_path(key), std::ios::binary);
-    if (f) {
-      std::ostringstream buf;
-      buf << f.rdbuf();
-      std::string payload = buf.str();
-      if (!payload.empty()) {
-        insert_memory_locked(key, payload);
-        return payload;
-      }
+  } else {
+    lru_.push_front({key, payload, boundary, own_fp});
+    index_[key] = lru_.begin();
+    while (lru_.size() > capacity_) {
+      const Entry& victim = lru_.back();
+      forget_pair_locked(victim);
+      index_.erase(victim.key);
+      lru_.pop_back();
+      // Evictions are not attributable to one boundary; account them
+      // under the aggregate-only bucket.
+      ++stats_[""].evictions;
     }
   }
-  return std::nullopt;
-}
-
-void UnitCache::adopt(const std::string& boundary, uint64_t key,
-                      const std::string& payload) {
-  (void)boundary;  // payloads adopt into the shared keyspace
-  std::lock_guard<std::mutex> lock(mu_);
-  insert_memory_locked(key, payload);
-  write_disk_locked(key, payload);
-}
-
-void UnitCache::write_disk_locked(uint64_t key, const std::string& payload) {
-  if (disk_dir_.empty()) return;
-  // Atomic publish, so a concurrent reader (another process sharing the
-  // cache dir) never sees a torn entry.
-  const std::string path = disk_path(key);
-  std::error_code ec;
-  uint64_t old_size = std::filesystem::file_size(path, ec);
-  if (ec) old_size = 0;
-  if (support::publish_file(path, payload) && budget_)
-    budget_->charge(path, old_size, payload.size());
+  last_key_by_fp_[boundary][own_fp] = key;
 }
 
 void UnitCache::forget_pair_locked(const Entry& e) {
-  if (e.boundary.empty()) return;
   // Only while the pair still names this entry's key: a newer key stored
   // under the same pair keeps it.
   auto b = last_key_by_fp_.find(e.boundary);
   if (b == last_key_by_fp_.end()) return;
   auto fp = b->second.find(e.own_fp);
   if (fp != b->second.end() && fp->second == e.key) b->second.erase(fp);
-}
-
-UnitCache::Lru::iterator UnitCache::insert_memory_locked(
-    uint64_t key, const std::string& payload) {
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->payload = payload;
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second;
-  }
-  lru_.push_front({key, payload, {}, 0});
-  index_[key] = lru_.begin();
-  while (lru_.size() > capacity_) {
-    const Entry& victim = lru_.back();
-    forget_pair_locked(victim);
-    index_.erase(victim.key);
-    lru_.pop_back();
-    // Evictions are not attributable to one boundary; account them under
-    // the aggregate-only bucket.
-    ++stats_[""].evictions;
-  }
-  return lru_.begin();
 }
 
 IncrStats UnitCache::stats() const {

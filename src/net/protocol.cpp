@@ -258,17 +258,9 @@ bool validate(const Request& r, std::string* err) {
       break;
     case RequestType::CacheProbe:
     case RequestType::CacheFill:
-    case RequestType::UnitFill:
       if (!parse_key(r.key, &key))
         return fail(std::string(request_type_name(r.type)) +
                     " requires a hex \"key\"");
-      break;
-    case RequestType::UnitProbe:
-      if (r.keys.empty())
-        return fail("unit_probe requires a non-empty \"keys\" list");
-      for (const std::string& k : r.keys)
-        if (!parse_key(k, &key))
-          return fail("unit_probe \"keys\" must all be hex keys");
       break;
     default:
       break;

@@ -37,16 +37,6 @@
 //                 result cache with the serialized CompileResult on hit.
 //   cache_fill  — push a serialized result under K into the receiver's
 //                 cache (replication after a fresh compile).
-//   unit_probe  — "which of unit-artifact keys K1..Kn do you hold?" — one
-//                 pass boundary's locally missed keys in one frame (v7;
-//                 v6 asked for one key per frame). Answered from the local
-//                 unit cache with one payload slot per key, in key order:
-//                 the opaque pass-boundary payload when held, empty when
-//                 not. A late-joining worker resumes units from a peer's
-//                 snapshots instead of recomputing, at one round trip per
-//                 peer per boundary.
-//   unit_fill   — push a unit artifact under K (with its boundary label)
-//                 into the receiver's unit cache.
 //   forward     — a coordinator-wrapped compile/run/compile_batch: the same
 //                 payload fields plus the wrapped type and the routing
 //                 attempt counter. Workers never re-forward.
@@ -97,7 +87,7 @@
 
 namespace ap::net {
 
-inline constexpr int kProtocolVersion = 7;
+inline constexpr int kProtocolVersion = 8;
 
 // Upper bound on the interpreter lanes a run request may ask for: each
 // lane is an OS thread in the serving daemon.
@@ -116,8 +106,6 @@ enum class RequestType : uint8_t {
   Forward,
   CompileBatch,
   Stats,
-  UnitProbe,
-  UnitFill,
 };
 const char* request_type_name(RequestType t);
 
@@ -201,13 +189,8 @@ struct Request {
   WorkerInfo worker;    // register, heartbeat
   WorkerLoad load;      // heartbeat
   bool leaving = false; // heartbeat: graceful departure announcement
-  std::string key;      // cache_probe, cache_fill, unit_fill (hex)
-  std::string payload;  // cache_fill / unit_fill: serialized payload
-  std::vector<std::string> keys;  // unit_probe: the keys asked for (hex)
-
-  // unit_fill: the snapshotting pass's name ("normalize", "parallelize")
-  // — the receiver's stats bucket for the adopted artifact.
-  std::string boundary;
+  std::string key;      // cache_probe, cache_fill (hex)
+  std::string payload;  // cache_fill: serialized CompileResult
   // forward: the wrapped request type (Compile, Run, or CompileBatch)
   // and the coordinator's 0-based routing attempt for this request.
   RequestType inner = RequestType::Compile;
@@ -258,8 +241,6 @@ struct Response {
 
   bool found = false;   // cache_probe: the key was held
   std::string payload;  // cache_probe hit: serialized CompileResult
-  // unit_probe: payloads[i] answers keys[i]; empty = not held.
-  std::vector<std::string> payloads;
 
   bool has_peers = false;
   std::vector<WorkerInfo> peers;  // register/heartbeat: routable peers
@@ -277,8 +258,7 @@ struct Response {
 //     does every batch item;
 //   - a run asks for 1..kMaxRunThreads interpreter threads;
 //   - register/heartbeat name a worker id;
-//   - cache probes/fills and unit fills carry a hex key, and a unit
-//     probe a non-empty list of them.
+//   - cache probes and fills carry a hex key.
 // False with *err naming the first failed check.
 bool validate(const Request& r, std::string* err);
 

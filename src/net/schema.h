@@ -26,7 +26,10 @@
 // every reader has decoded by then (tag 1), so a type carries only its own.
 //
 // Binary tag numbers are part of the protocol: never renumber a field.
-// HelloInfo's tag 1 is retired (it carried the old minimum version).
+// Retired tags stay unused: HelloInfo's 1 (the old minimum version),
+// PassRecord's 7 and 8 and CompileResult's 17 and 18 (per-tier unit
+// hits), Request's 20 and 21 and Response's 13 (the unit_probe/unit_fill
+// messages, removed in v8).
 #pragma once
 
 #include <span>
@@ -42,8 +45,7 @@ namespace ap::net::schema {
 inline constexpr const char* kRequestTypeNames[] = {
     "compile",    "run",       "metrics",       "ping",
     "hello",      "register",  "heartbeat",     "cache_probe",
-    "cache_fill", "forward",   "compile_batch", "stats",
-    "unit_probe", "unit_fill"};
+    "cache_fill", "forward",   "compile_batch", "stats"};
 inline constexpr const char* kStatusNames[] = {
     "ok", "error", "overloaded", "deadline_exceeded", "unsupported_version",
     "worker_lost", "protocol_error"};
@@ -176,8 +178,6 @@ void fields(V& v, pm::PassRecord& m) {
   AP_FIELD(4, "diags", diagnostics);
   AP_FIELD(5, "unit_hits", unit_hits);
   AP_FIELD(6, "unit_misses", unit_misses);
-  AP_FIELD(7, "unit_disk_hits", unit_disk_hits);
-  AP_FIELD(8, "unit_peer_hits", unit_peer_hits);
   AP_FIELD(9, "unit_invalidated", unit_invalidated);
 }
 
@@ -206,8 +206,6 @@ void fields(V& v, service::CompileResult& m) {
   AP_FIELD(14, "unit_hits", unit_hits);
   AP_FIELD(15, "unit_misses", unit_misses);
   AP_FIELD(16, "unit_invalidated", unit_invalidated);
-  AP_FIELD(17, "unit_disk_hits", unit_disk_hits);
-  AP_FIELD(18, "unit_peer_hits", unit_peer_hits);
 }
 
 template <class V>
@@ -247,8 +245,8 @@ void fields(V& v, Request& m) {
     AP_FIELD(11, "load", load);
     AP_FIELD(12, "leaving", leaving);
   }
-  if (is(T::CacheProbe, T::CacheFill, T::UnitFill)) AP_FIELD(13, "key", key);
-  if (is(T::CacheFill, T::UnitFill)) AP_FIELD(14, "payload", payload);
+  if (is(T::CacheProbe, T::CacheFill)) AP_FIELD(13, "key", key);
+  if (is(T::CacheFill)) AP_FIELD(14, "payload", payload);
   if (is(T::Forward)) {
     AP_FIELD(15, "inner", inner);
     AP_FIELD(16, "attempt", attempt);
@@ -256,8 +254,6 @@ void fields(V& v, Request& m) {
   if (is(T::CompileBatch, T::Forward)) AP_FIELD(17, "batch", batch);
   AP_FIELD(18, "trace", trace);
   v.hex(19, "trace_id", m.trace_id);
-  if (is(T::UnitFill)) AP_FIELD(20, "boundary", boundary);
-  if (is(T::UnitProbe)) AP_FIELD(21, "keys", keys);
 }
 
 template <class V>
@@ -275,7 +271,6 @@ void fields(V& v, Response& m) {
   v.opt(10, "peers", m.has_peers, m.peers);
   v.opt(11, "batch", m.has_batch, m.batch);
   AP_FIELD(12, "trace", trace);
-  AP_FIELD(13, "payloads", payloads);
 }
 
 #undef AP_FIELD

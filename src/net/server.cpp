@@ -521,9 +521,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
     case RequestType::Register:
     case RequestType::Heartbeat:
     case RequestType::CacheProbe:
-    case RequestType::CacheFill:
-    case RequestType::UnitProbe:
-    case RequestType::UnitFill: {
+    case RequestType::CacheFill: {
       // Fleet control plane: answered synchronously on the loop thread
       // (handlers are lock-and-copy, never compile).
       Response resp;
@@ -541,9 +539,7 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       // the flight recorder correlates a peer hop with the request that
       // caused it. Heartbeats/registers are periodic noise — not recorded.
       if (req.type == RequestType::CacheProbe ||
-          req.type == RequestType::CacheFill ||
-          req.type == RequestType::UnitProbe ||
-          req.type == RequestType::UnitFill) {
+          req.type == RequestType::CacheFill) {
         record_flight(req.trace_id, req.id, request_type_name(req.type),
                       resp.status == Status::Ok ? "ok" : "error", wall, "");
       }

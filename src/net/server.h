@@ -126,9 +126,8 @@ struct ServerOptions {
   // which roots them under the serving core's own "request" span.
   std::function<void(uint64_t ticket, Request req)> dispatch;
   // Loop-thread handler for fleet control-plane requests (register,
-  // heartbeat, cache_probe, cache_fill, unit_probe, unit_fill). Return
-  // true when handled; false draws a structured `error` reply ("not a
-  // fleet endpoint").
+  // heartbeat, cache_probe, cache_fill). Return true when handled; false
+  // draws a structured `error` reply ("not a fleet endpoint").
   std::function<bool(const Request&, Response*)> control;
   // Runs on a worker lane right after it delivered a response, before the
   // lane takes its next job (and before a drain can finish): work that
@@ -378,7 +377,7 @@ class Server {
   // Latency plane: lock-cheap log-bucketed histograms, one per request
   // type plus one per cache outcome. Indexed by RequestType value.
   static constexpr size_t kTypeHistCount =
-      static_cast<size_t>(RequestType::UnitFill) + 1;
+      static_cast<size_t>(RequestType::Stats) + 1;
   std::array<obs::Histogram, kTypeHistCount> type_hist_;
   obs::Histogram cache_hist_memory_;  // loop-thread warm fast path
   obs::Histogram cache_hist_hit_;     // local (memory or disk) hit

@@ -73,9 +73,7 @@ bool PassManager::run_one(Pass& pass, PassState& st) {
       bool snap = opts_.artifacts && pass.snapshotable();
       enum class Outcome : uint8_t {
         kNone,  // not enrolled (no probe, or probe said not participating)
-        kMemHit,
-        kDiskHit,
-        kPeerHit,
+        kHit,
         kMiss,
         kInvalidated,
       };
@@ -98,11 +96,7 @@ bool PassManager::run_one(Pass& pass, PassState& st) {
           if (probe.participating) {
             if (probe.payload &&
                 pass.restore_unit_artifact(unit, idx, *probe.payload)) {
-              outcomes[idx] = probe.tier == ArtifactTier::Peer
-                                  ? Outcome::kPeerHit
-                              : probe.tier == ArtifactTier::Disk
-                                  ? Outcome::kDiskHit
-                                  : Outcome::kMemHit;
+              outcomes[idx] = Outcome::kHit;
               return;  // restored — skip the recompute entirely
             }
             outcomes[idx] =
@@ -126,16 +120,8 @@ bool PassManager::run_one(Pass& pass, PassState& st) {
         switch (o) {
           case Outcome::kNone:
             break;
-          case Outcome::kMemHit:
+          case Outcome::kHit:
             ++rec.unit_hits;
-            break;
-          case Outcome::kDiskHit:
-            ++rec.unit_hits;
-            ++rec.unit_disk_hits;
-            break;
-          case Outcome::kPeerHit:
-            ++rec.unit_hits;
-            ++rec.unit_peer_hits;
             break;
           case Outcome::kInvalidated:
             ++rec.unit_invalidated;

@@ -19,15 +19,14 @@
 // the wire protocol. --stop-after/--print-after map to PassManagerOptions.
 //
 // Artifact protocol: a PerUnit pass that overrides the snapshot hooks
-// participates in pass-boundary snapshotting. Before the fan-out the
-// manager asks the attached ArtifactStore for all of the boundary's units
-// at once under (pass name, pass-sequence prefix fingerprint, unit
-// names), so a store backed by the fleet pays one round trip per peer
-// per boundary, not one per unit. A payload the pass successfully
-// restores skips the unit's run entirely, and a recomputed unit is
-// snapshotted back into the store. The store owns key
-// construction and tiering (memory/disk/fleet peers — src/incr
-// implements it); the manager owns the per-boundary hit/miss counters in
+// participates in pass-boundary snapshotting (the driver's parallelize
+// pass is the one that does). Before the fan-out the manager asks the
+// attached ArtifactStore for all of the boundary's units at once under
+// (pass name, pass-sequence prefix fingerprint, unit names). A payload
+// the pass successfully restores skips the unit's run entirely, and a
+// recomputed unit is snapshotted back into the store. The store owns key
+// construction and storage (src/incr implements it as a process-local
+// memory LRU); the manager owns the per-boundary hit/miss counters in
 // PassRecord. A restore that fails falls back to recomputing —
 // correctness never rests on the protocol.
 #pragma once
@@ -48,17 +47,13 @@ namespace ap::pm {
 
 enum class PassKind : uint8_t { WholeProgram, PerUnit };
 
-// Which artifact tier served a restored unit; None = miss.
-enum class ArtifactTier : uint8_t { None, Memory, Disk, Peer };
-
 // One artifact probe's outcome: whether this (pass, unit) is enrolled in
-// the protocol at all, the payload when one was found, the tier that
-// served it, and the miss classification (own unit unchanged, dependency
-// changed) that feeds invalidation telemetry.
+// the protocol at all, the payload when one was found (a hit), and the
+// miss classification (own unit unchanged, dependency changed) that feeds
+// invalidation telemetry.
 struct ArtifactProbe {
   bool participating = false;
   bool invalidated = false;
-  ArtifactTier tier = ArtifactTier::None;
   std::optional<std::string> payload;
 };
 
@@ -66,7 +61,7 @@ struct ArtifactProbe {
 // (pass name, pass-sequence prefix fingerprint, unit name). The store
 // decides participation (a pass can be enrolled for some runs and not
 // others), computes real cache keys (content closures, option hashes) and
-// owns tiering; src/incr provides the production implementation.
+// owns storage; src/incr provides the production implementation.
 class ArtifactStore {
  public:
   virtual ~ArtifactStore() = default;
@@ -86,13 +81,10 @@ struct PassRecord {
   int units = 0;        // units fanned out (0 for whole-program passes)
   int diagnostics = 0;  // diagnostics this pass added to the shared engine
   // Artifact-protocol outcome at this boundary (all zero when the pass
-  // does not snapshot or no store is attached). unit_hits counts restores
-  // from any tier; disk/peer break the tier down (memory = hits - disk -
-  // peer); unit_misses counts enrolled units that recomputed.
+  // does not snapshot or no store is attached). unit_hits counts
+  // restores; unit_misses counts enrolled units that recomputed.
   int unit_hits = 0;
   int unit_misses = 0;
-  int unit_disk_hits = 0;
-  int unit_peer_hits = 0;
   int unit_invalidated = 0;  // misses caused by a changed dependency
 };
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "fir/unparse.h"
-#include "support/disk_budget.h"
 #include "support/fnv.h"
 
 namespace ap::service {
@@ -20,6 +19,26 @@ std::string hex16(uint64_t key) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016" PRIx64, key);
   return buf;
+}
+
+// "%.6f" of `v` at any magnitude (a fixed buffer would cut a line short
+// and make the entry undecodable).
+std::string fixed6(double v) {
+  int n = std::snprintf(nullptr, 0, "%.6f", v);
+  std::string out(static_cast<size_t>(n), '\0');
+  std::snprintf(out.data(), out.size() + 1, "%.6f", v);
+  return out;
+}
+
+// Reads the next `n` bytes of `in` (a stream over `total` bytes) into
+// *out. A length larger than what is left is malformed input: it is
+// rejected before anything is allocated for it.
+bool read_block(std::istream& in, size_t total, size_t n, std::string* out) {
+  std::streamoff at = in.tellg();
+  if (at < 0 || n > total - static_cast<size_t>(at)) return false;
+  out->resize(n);
+  in.read(out->data(), static_cast<std::streamsize>(n));
+  return in.gcount() == static_cast<std::streamsize>(n);
 }
 
 }  // namespace
@@ -38,8 +57,6 @@ CompileResult to_compile_result(const driver::PipelineResult& r) {
   out.unit_hits = r.unit_hits;
   out.unit_misses = r.unit_misses;
   out.unit_invalidated = r.unit_invalidated;
-  out.unit_disk_hits = r.unit_disk_hits;
-  out.unit_peer_hits = r.unit_peer_hits;
   if (r.program) out.program_text = fir::unparse(*r.program);
   return out;
 }
@@ -85,17 +102,12 @@ std::string serialize_result(const CompileResult& r) {
   s << "code_lines " << r.code_lines << "\n";
   s << "dep_tests " << r.dep_tests << "\n";
   s << "dep_tests_unique " << r.dep_tests_unique << "\n";
-  char t[160];
-  std::snprintf(t, sizeof(t), "total_ms %.6f\n", r.timings.total_ms);
-  s << t;
+  s << "total_ms " << fixed6(r.timings.total_ms) << "\n";
   s << "passes " << r.timings.passes.size() << "\n";
-  for (const auto& p : r.timings.passes) {
-    std::snprintf(t, sizeof(t), "pass %s %.6f %d %d %d %d %d %d %d\n",
-                  p.name.c_str(), p.wall_ms, p.units, p.diagnostics,
-                  p.unit_hits, p.unit_misses, p.unit_disk_hits,
-                  p.unit_peer_hits, p.unit_invalidated);
-    s << t;
-  }
+  for (const auto& p : r.timings.passes)
+    s << "pass " << p.name << ' ' << fixed6(p.wall_ms) << ' ' << p.units
+      << ' ' << p.diagnostics << ' ' << p.unit_hits << ' ' << p.unit_misses
+      << ' ' << p.unit_invalidated << "\n";
   s << "print_dump " << r.print_dump.size() << "\n";
   s << r.print_dump << "\n";
   s << "parallel_loops " << r.parallel_loops.size();
@@ -133,8 +145,7 @@ std::optional<CompileResult> deserialize_result(std::string_view text) {
   for (size_t i = 0; i < npasses; ++i) {
     pm::PassRecord p;
     if (!(in >> tag >> p.name >> p.wall_ms >> p.units >> p.diagnostics >>
-          p.unit_hits >> p.unit_misses >> p.unit_disk_hits >>
-          p.unit_peer_hits >> p.unit_invalidated) ||
+          p.unit_hits >> p.unit_misses >> p.unit_invalidated) ||
         tag != "pass")
       return std::nullopt;
     r.timings.passes.push_back(std::move(p));
@@ -142,9 +153,7 @@ std::optional<CompileResult> deserialize_result(std::string_view text) {
   size_t ndump = 0;
   if (!(in >> tag >> ndump) || tag != "print_dump") return std::nullopt;
   in.get();  // the newline terminating the print_dump header
-  r.print_dump.resize(ndump);
-  in.read(r.print_dump.data(), static_cast<std::streamsize>(ndump));
-  if (in.gcount() != static_cast<std::streamsize>(ndump)) return std::nullopt;
+  if (!read_block(in, text.size(), ndump, &r.print_dump)) return std::nullopt;
   if (!(in >> tag >> nloops) || tag != "parallel_loops") return std::nullopt;
   for (size_t i = 0; i < nloops; ++i) {
     int64_t id;
@@ -153,31 +162,21 @@ std::optional<CompileResult> deserialize_result(std::string_view text) {
   }
   if (!(in >> tag >> nbytes) || tag != "program") return std::nullopt;
   in.get();  // the newline terminating the program header
-  r.program_text.resize(nbytes);
-  in.read(r.program_text.data(), static_cast<std::streamsize>(nbytes));
-  if (in.gcount() != static_cast<std::streamsize>(nbytes)) return std::nullopt;
+  if (!read_block(in, text.size(), nbytes, &r.program_text))
+    return std::nullopt;
   return r;
 }
 
 ResultCache::ResultCache(size_t capacity, std::string disk_dir,
-                         size_t disk_max_bytes, support::DiskBudget* budget)
+                         size_t disk_max_bytes)
     : capacity_(capacity < 1 ? 1 : capacity), disk_dir_(std::move(disk_dir)) {
   if (!disk_dir_.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(disk_dir_, ec);
-    if (budget) {
-      budget_ = budget;
-    } else {
-      // Private budget over disk_max_bytes (0 = unlimited accounting).
-      owned_budget_ = std::make_unique<support::DiskBudget>(disk_max_bytes);
-      budget_ = owned_budget_.get();
-    }
     // Pre-existing entries (warm restarts) count against the byte budget.
-    budget_->add_dir(disk_dir_, ".apc");
+    budget_.emplace(disk_dir_, ".apc", disk_max_bytes);
   }
 }
-
-ResultCache::~ResultCache() = default;
 
 std::string ResultCache::disk_path(uint64_t key) const {
   return disk_dir_ + "/" + hex16(key) + ".apc";
@@ -231,7 +230,7 @@ void ResultCache::store(uint64_t key, const CompileResult& r) {
     // A reader in another process sharing the cache dir (fleet workers, a
     // concurrently evicting instance) sees the complete old entry or the
     // complete new one. The budget may then evict oldest-mtime files
-    // across every tier sharing it (this entry itself is exempt).
+    // (this entry itself is exempt).
     if (support::publish_file(path, payload))
       budget_->charge(path, old_size, payload.size());
   }
@@ -257,8 +256,8 @@ CacheStats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   CacheStats s = stats_;
   if (budget_) {
-    s.disk_bytes = budget_->dir_bytes(disk_dir_);
-    s.disk_evictions = budget_->dir_evictions(disk_dir_);
+    s.disk_bytes = budget_->used_bytes();
+    s.disk_evictions = budget_->evictions();
   }
   return s;
 }

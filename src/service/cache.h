@@ -32,10 +32,7 @@
 #include <unordered_map>
 
 #include "driver/pipeline.h"
-
-namespace ap::support {
-class DiskBudget;
-}
+#include "support/disk_budget.h"
 
 namespace ap::service {
 
@@ -56,15 +53,15 @@ struct CompileResult {
   std::string print_dump;           // --print-after capture ("" when unset)
   bool stopped_early = false;       // --stop-after cut the sequence short
 
-  // Unit-tier outcome of the compiling run (src/incr): per-request, like
-  // cache_hit, so not serialized — a whole-request hit did no unit work
-  // and reports zeros. Reported for the deepest (parallelize) boundary;
-  // per-boundary detail is in timings.passes[*].unit_*.
+  // Unit-tier outcome of the compiling run (src/incr) at the parallelize
+  // boundary: per-request, like cache_hit, so not serialized — a
+  // whole-request hit did no unit work and reports zeros.
   size_t unit_hits = 0;
   size_t unit_misses = 0;
   size_t unit_invalidated = 0;   // misses caused by a changed dependency
-  size_t unit_disk_hits = 0;     // hits served from the disk tier
-  size_t unit_peer_hits = 0;     // hits served by a fleet peer
+  // Always 0, on no wire and in no file: apbench still reads it, and the
+  // benchmark change that drops its dist.unit_peer_frac removes it.
+  size_t unit_peer_hits = 0;
 };
 
 // Build a CompileResult from a finished pipeline run (unparses the final
@@ -74,7 +71,7 @@ CompileResult to_compile_result(const driver::PipelineResult& r);
 // Content hash of (source, annotations, options). Stable across runs and
 // platforms; bump kCacheFormatVersion when CompileResult serialization or
 // pipeline semantics change.
-inline constexpr uint32_t kCacheFormatVersion = 4;
+inline constexpr uint32_t kCacheFormatVersion = 5;
 
 uint64_t cache_key(std::string_view source, std::string_view annotations,
                    const driver::PipelineOptions& opts);
@@ -83,7 +80,11 @@ uint64_t cache_key(std::string_view source, std::string_view annotations,
 // the key; exposed for tests and telemetry).
 std::string options_fingerprint(const driver::PipelineOptions& opts);
 
-// Serialization for the disk tier (exposed for tests).
+// Serialization for the disk tier and the fleet's cache_fill/cache_probe
+// payloads (exposed for tests). The decoder reads untrusted bytes (a peer's
+// frame, a file anyone could have written): it rejects malformed input,
+// never throws, and never allocates more than the input's own size for a
+// length it reads.
 std::string serialize_result(const CompileResult& r);
 std::optional<CompileResult> deserialize_result(std::string_view text);
 
@@ -108,17 +109,8 @@ class ResultCache {
   // just stored is never evicted by its own store). 0 = unlimited,
   // preserving historical behavior. Pre-existing files in `disk_dir` are
   // counted against the budget at construction.
-  //
-  // `budget` (optional, not owned) shares one byte budget across cache
-  // tiers — the server hands the same support::DiskBudget to this cache
-  // and the unit-artifact cache so --cache-max-mb caps their COMBINED
-  // footprint. When null, the cache owns a private budget over
-  // `disk_max_bytes`; when set, `disk_max_bytes` is ignored (the shared
-  // budget's cap governs).
   explicit ResultCache(size_t capacity = 256, std::string disk_dir = "",
-                       size_t disk_max_bytes = 0,
-                       support::DiskBudget* budget = nullptr);
-  ~ResultCache();  // out of line: owned_budget_ needs the complete type
+                       size_t disk_max_bytes = 0);
 
   // Thread-safe. On hit the entry becomes most-recently-used; disk hits
   // are promoted into the memory tier.
@@ -145,8 +137,7 @@ class ResultCache {
 
   const size_t capacity_;
   const std::string disk_dir_;
-  std::unique_ptr<support::DiskBudget> owned_budget_;
-  support::DiskBudget* budget_ = nullptr;  // owned_budget_ or the shared one
+  std::optional<support::DiskBudget> budget_;  // set iff the disk tier is on
 
   mutable std::mutex mu_;
   // MRU-first list; map values point into it.

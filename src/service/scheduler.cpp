@@ -107,7 +107,6 @@ CompileResult Scheduler::run_one(const CompileJob& job, obs::Span* parent,
       // A whole-request hit did no unit-granular work in THIS request;
       // the memory tier may carry the compiling run's counters.
       hit->unit_hits = hit->unit_misses = hit->unit_invalidated = 0;
-      hit->unit_disk_hits = hit->unit_peer_hits = 0;
       return *hit;
     }
   }
@@ -127,7 +126,6 @@ CompileResult Scheduler::run_one(const CompileJob& job, obs::Span* parent,
       peer->cache_hit = true;
       peer->peer_hit = true;
       peer->unit_hits = peer->unit_misses = peer->unit_invalidated = 0;
-      peer->unit_disk_hits = peer->unit_peer_hits = 0;
       if (opts_.cache) opts_.cache->store(key, *peer);
       return *peer;
     }

@@ -186,8 +186,6 @@ std::string Telemetry::to_json() const {
     << ", \"disk_bytes\": " << cache_.disk_bytes << "},\n";
   if (has_incr_) {
     s << "  \"incr\": {\"memory_hits\": " << incr_.memory_hits
-      << ", \"disk_hits\": " << incr_.disk_hits
-      << ", \"peer_hits\": " << incr_.peer_hits
       << ", \"misses\": " << incr_.misses
       << ", \"invalidated_by_dep\": " << incr_.invalidated_by_dep
       << ", \"stores\": " << incr_.stores
@@ -199,9 +197,7 @@ std::string Telemetry::to_json() const {
         if (!first) s << ", ";
         first = false;
         s << "\"" << json_escape(name) << "\": {\"memory_hits\": "
-          << b.memory_hits << ", \"disk_hits\": " << b.disk_hits
-          << ", \"peer_hits\": " << b.peer_hits
-          << ", \"misses\": " << b.misses
+          << b.memory_hits << ", \"misses\": " << b.misses
           << ", \"invalidated_by_dep\": " << b.invalidated_by_dep
           << ", \"stores\": " << b.stores << "}";
       }
@@ -231,12 +227,7 @@ std::string Telemetry::to_json() const {
       << ", \"fills_sent\": " << peer_cache_.fills_sent
       << ", \"fills_received\": " << peer_cache_.fills_received
       << ", \"peer_hits\": " << peer_cache_.peer_hits
-      << ", \"fills_dropped\": " << peer_cache_.fills_dropped
-      << ", \"unit_probes_sent\": " << peer_cache_.unit_probes_sent
-      << ", \"unit_probe_hits\": " << peer_cache_.unit_probe_hits
-      << ", \"unit_fills_sent\": " << peer_cache_.unit_fills_sent
-      << ", \"unit_fills_received\": " << peer_cache_.unit_fills_received
-      << ", \"unit_peer_hits\": " << peer_cache_.unit_peer_hits << "},\n";
+      << ", \"fills_dropped\": " << peer_cache_.fills_dropped << "},\n";
   }
   if (has_fleet_) {
     s << "  \"fleet\": {\"forwarded\": " << fleet_.forwarded

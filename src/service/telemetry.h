@@ -86,18 +86,9 @@ struct PeerCacheStats {
   uint64_t fills_sent = 0;       // replications pushed to peers
   uint64_t fills_received = 0;   // replications accepted from peers
   uint64_t peer_hits = 0;        // local misses served from the peer tier
-  // Fills (results and unit snapshots) never sent: the oldest when the
-  // bounded fill queue was full, or what a stop left queued.
+  // Fills never sent: the oldest when the bounded fill queue was full, or
+  // what a stop left queued.
   uint64_t fills_dropped = 0;
-  // Unit-artifact tier (unit_probe/unit_fill): same shape, one level
-  // down — per-unit pass snapshots instead of whole results. A unit probe
-  // is one request carrying a boundary's missed keys; a probe hit is one
-  // key answered.
-  uint64_t unit_probes_sent = 0;
-  uint64_t unit_probe_hits = 0;
-  uint64_t unit_fills_sent = 0;
-  uint64_t unit_fills_received = 0;
-  uint64_t unit_peer_hits = 0;   // unit misses served from the peer tier
 };
 
 // Counters from the coordinator's routing plane (src/dist coordinator).
@@ -126,8 +117,8 @@ class Telemetry {
   void record_exec(const ExecRecord& rec);
   void record_cache_stats(const CacheStats& stats);
   void record_incr_stats(const incr::IncrStats& stats);
-  // Per-boundary breakdown of the unit tier ("normalize", "parallelize"):
-  // shows WHERE in the pipeline edits resume.
+  // Per-boundary breakdown of the unit tier (one boundary,
+  // "parallelize"): shows WHERE in the pipeline edits resume.
   void record_incr_boundary_stats(
       const std::map<std::string, incr::IncrStats>& stats);
   void record_server_stats(const ServerStats& stats);

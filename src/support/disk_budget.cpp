@@ -6,6 +6,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 namespace ap::support {
 
@@ -46,77 +47,50 @@ bool publish_file(const std::string& path, std::string_view payload) {
   return false;
 }
 
-void DiskBudget::add_dir(const std::string& dir, const std::string& ext) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = dirs_.emplace(dir, Dir{ext, 0, 0});
-  if (!inserted) return;
+DiskBudget::DiskBudget(std::string dir, std::string ext, uint64_t max_bytes)
+    : dir_(std::move(dir)), ext_(std::move(ext)), max_bytes_(max_bytes) {
   std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     std::error_code rec;
     if (is_orphan_temp(entry)) fs::remove(entry.path(), rec);
-    if (entry.path().extension() != ext) continue;
+    if (entry.path().extension() != ext_) continue;
     std::error_code sec;
     uint64_t size = fs::file_size(entry.path(), sec);
-    if (!sec) it->second.bytes += size;
+    if (!sec) bytes_ += size;
   }
-}
-
-DiskBudget::Dir* DiskBudget::dir_of_locked(const std::string& path) {
-  Dir* best = nullptr;
-  size_t best_len = 0;
-  for (auto& [dir, d] : dirs_) {
-    if (path.size() > dir.size() + 1 && path.compare(0, dir.size(), dir) == 0 &&
-        path[dir.size()] == '/' && dir.size() >= best_len) {
-      best = &d;
-      best_len = dir.size();
-    }
-  }
-  return best;
 }
 
 size_t DiskBudget::charge(const std::string& path, uint64_t old_bytes,
                           uint64_t new_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Dir* d = dir_of_locked(path);
-  if (d) {
-    d->bytes -= std::min(d->bytes, old_bytes);
-    d->bytes += new_bytes;
-  }
-  if (max_bytes_ == 0) return 0;
-  uint64_t total = 0;
-  for (const auto& [dir, dd] : dirs_) total += dd.bytes;
-  if (total <= max_bytes_) return 0;
-  return evict_locked(path);
+  bytes_ -= std::min(bytes_, old_bytes);
+  bytes_ += new_bytes;
+  if (max_bytes_ == 0 || bytes_ <= max_bytes_) return 0;
+  return evict(path);
 }
 
-// Oldest-mtime first across every registered directory, path tie-break,
-// `keep_path` exempt. Re-walks the directories so the counters are
-// re-synchronized against external adds/removes before anything is
-// deleted, sweeping orphaned temp files on the way.
-size_t DiskBudget::evict_locked(const std::string& keep_path) {
+// Oldest-mtime first, path tie-break, `keep_path` exempt. Re-walks the
+// directory so the counter is re-synchronized against external
+// adds/removes before anything is deleted, sweeping orphaned temp files
+// on the way.
+size_t DiskBudget::evict(const std::string& keep_path) {
   struct Candidate {
     fs::file_time_type mtime;
     uint64_t size;
     fs::path path;
-    std::string dir;
   };
   std::vector<Candidate> entries;
-  uint64_t total = 0;
-  for (auto& [dir, d] : dirs_) {
-    d.bytes = 0;
-    std::error_code ec;
-    for (const auto& entry : fs::directory_iterator(dir, ec)) {
-      std::error_code rec;
-      if (is_orphan_temp(entry)) fs::remove(entry.path(), rec);
-      if (entry.path().extension() != d.ext) continue;
-      std::error_code sec, tec;
-      uint64_t size = fs::file_size(entry.path(), sec);
-      auto mtime = fs::last_write_time(entry.path(), tec);
-      if (sec || tec) continue;
-      d.bytes += size;
-      total += size;
-      entries.push_back({mtime, size, entry.path(), dir});
-    }
+  bytes_ = 0;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
+    std::error_code rec;
+    if (is_orphan_temp(entry)) fs::remove(entry.path(), rec);
+    if (entry.path().extension() != ext_) continue;
+    std::error_code sec, tec;
+    uint64_t size = fs::file_size(entry.path(), sec);
+    auto mtime = fs::last_write_time(entry.path(), tec);
+    if (sec || tec) continue;
+    bytes_ += size;
+    entries.push_back({mtime, size, entry.path()});
   }
   std::sort(entries.begin(), entries.end(),
             [](const Candidate& a, const Candidate& b) {
@@ -125,44 +99,16 @@ size_t DiskBudget::evict_locked(const std::string& keep_path) {
             });
   size_t removed = 0;
   for (const auto& e : entries) {
-    if (total <= max_bytes_) break;
+    if (bytes_ <= max_bytes_) break;
     if (e.path == keep_path) continue;
     std::error_code rec;
     if (fs::remove(e.path, rec)) {
-      total -= e.size;
-      Dir& d = dirs_[e.dir];
-      d.bytes -= std::min(d.bytes, e.size);
-      ++d.evictions;
+      bytes_ -= std::min(bytes_, e.size);
+      ++evictions_;
       ++removed;
     }
   }
   return removed;
-}
-
-uint64_t DiskBudget::used_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [dir, d] : dirs_) total += d.bytes;
-  return total;
-}
-
-uint64_t DiskBudget::dir_bytes(const std::string& dir) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = dirs_.find(dir);
-  return it == dirs_.end() ? 0 : it->second.bytes;
-}
-
-uint64_t DiskBudget::dir_evictions(const std::string& dir) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = dirs_.find(dir);
-  return it == dirs_.end() ? 0 : it->second.evictions;
-}
-
-uint64_t DiskBudget::evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
-  for (const auto& [dir, d] : dirs_) total += d.evictions;
-  return total;
 }
 
 }  // namespace ap::support

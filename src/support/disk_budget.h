@@ -1,29 +1,18 @@
-// A byte budget shared by every disk cache tier that writes under a
-// common --cache-dir: the whole-request tier (service::ResultCache,
-// `<dir>/*.apc`) and the unit-artifact tier (incr::UnitCache,
-// `<dir>/units/*.apu`) register their directories here, and every store
-// charges the budget. When the combined footprint exceeds the cap the
-// budget evicts oldest-mtime files ACROSS ALL registered directories
-// (path tie-break for determinism) until it fits again — so unit
-// snapshots can no longer grow unbounded outside the --cache-max-mb
-// accounting, and a burst of unit stores can push out stale whole-request
-// entries just as the reverse can.
-//
-// Accounting is per registered (directory, extension) pair; pre-existing
-// files are counted at registration (warm restarts). The file whose store
-// triggered an eviction pass is exempt, so a store can never evict its
-// own payload. Eviction re-walks the registered directories, which also
-// re-synchronizes the counters against files another process added or
-// removed.
+// The byte budget of one disk cache directory — the whole-request result
+// tier (service::ResultCache, `<cache-dir>/*.apc`), which owns it. Every
+// store charges the budget; when the directory's footprint exceeds the
+// cap, the budget evicts oldest-mtime files (path tie-break for
+// determinism) until it fits again. Pre-existing files are counted at
+// construction (warm restarts). The file whose store triggered an
+// eviction pass is exempt, so a store can never evict its own payload.
+// Eviction re-walks the directory, which also re-synchronizes the counter
+// against files another process added or removed.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace ap::support {
 
@@ -40,50 +29,35 @@ bool publish_file(const std::string& path, std::string_view payload);
 
 inline constexpr std::chrono::minutes kOrphanTempAge{10};
 
+// Not thread-safe: the owning cache calls it under its own mutex.
 class DiskBudget {
  public:
-  // `max_bytes` caps the combined size of every registered directory;
-  // 0 = unlimited (accounting still runs, nothing is ever evicted).
-  explicit DiskBudget(uint64_t max_bytes) : max_bytes_(max_bytes) {}
+  // Accounts files with extension `ext` (e.g. ".apc") in `dir`, counting
+  // the ones already there and removing publish_file temp files older
+  // than kOrphanTempAge. `max_bytes` caps their combined size; 0 =
+  // unlimited (accounting still runs, nothing is ever evicted).
+  DiskBudget(std::string dir, std::string ext, uint64_t max_bytes);
 
-  // Registers a directory whose files with `ext` (e.g. ".apc") count
-  // toward the budget; scans pre-existing files immediately, removing
-  // publish_file temp files older than kOrphanTempAge. Idempotent for an
-  // already-registered pair.
-  void add_dir(const std::string& dir, const std::string& ext);
-
-  // Accounts a file (re)written at `path` inside a registered directory:
+  // Accounts a file (re)written at `path` inside the directory:
   // `old_bytes` (the size the previous version had, 0 when new) leaves the
   // budget, `new_bytes` enters it, and oldest-mtime files are evicted
   // until the total fits. `path` itself is never evicted by this call.
-  // Thread-safe; returns the number of files removed.
+  // Returns the number of files removed.
   size_t charge(const std::string& path, uint64_t old_bytes,
                 uint64_t new_bytes);
 
   uint64_t max_bytes() const { return max_bytes_; }
-  uint64_t used_bytes() const;
-  // Current byte count attributed to one registered directory.
-  uint64_t dir_bytes(const std::string& dir) const;
-  // Files evicted from one registered directory (cumulative).
-  uint64_t dir_evictions(const std::string& dir) const;
-  uint64_t evictions() const;
+  uint64_t used_bytes() const { return bytes_; }
+  uint64_t evictions() const { return evictions_; }  // cumulative
 
  private:
-  struct Dir {
-    std::string ext;
-    uint64_t bytes = 0;
-    uint64_t evictions = 0;
-  };
+  size_t evict(const std::string& keep_path);
 
-  // Finds the registered directory containing `path` (longest prefix
-  // match so nested dirs — `<dir>` and `<dir>/units` — resolve
-  // correctly). Returns nullptr for unregistered paths.
-  Dir* dir_of_locked(const std::string& path);
-  size_t evict_locked(const std::string& keep_path);
-
+  const std::string dir_;
+  const std::string ext_;
   const uint64_t max_bytes_;
-  mutable std::mutex mu_;
-  std::map<std::string, Dir> dirs_;  // by directory path
+  uint64_t bytes_ = 0;
+  uint64_t evictions_ = 0;
 };
 
 }  // namespace ap::support

@@ -14,6 +14,8 @@ constexpr int kMaxDepth = 64;
 
 std::string format_double(double v) {
   if (std::isnan(v) || std::isinf(v)) return "null";  // JSON has no NaN/Inf
+  // "%g" writes negative zero as "-0", which parses back as the integer 0.
+  if (v == 0 && std::signbit(v)) return "-0.0";
   char buf[40];
   // Shortest precision that round-trips: %.15g is exact for most values,
   // fall back to %.16g then %.17g (always exact for IEEE doubles).

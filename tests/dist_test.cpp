@@ -26,7 +26,6 @@
 #include "driver/pipeline.h"
 #include "fir/unparse.h"
 #include "incr/fingerprint.h"
-#include "incr/unit_cache.h"
 #include "net/binproto.h"
 #include "net/client.h"
 #include "net/wire.h"
@@ -393,6 +392,49 @@ TEST(DistFleet, CacheProbeHitAvoidsRecompute) {
   EXPECT_EQ(again.result.program_text, decoded->program_text);
 
   EXPECT_GE(worker.peer_stats().fills_received, 1u);
+
+  worker.begin_drain();
+  worker.wait();
+}
+
+// A cache_fill payload is untrusted bytes decoded on the worker's event
+// loop, which has no catch. One whose print_dump length claims 2^64-1
+// bytes must draw an `error` reply, not take the worker down, and the
+// worker keeps serving on the same connection.
+TEST(DistFleet, OversizedCacheFillLengthIsAnErrorNotACrash) {
+  service::ResultCache cache(64);
+  dist::WorkerOptions wo;
+  wo.id = "solo";
+  wo.threads = 1;
+  wo.cache = &cache;
+  dist::Worker worker(wo);
+  std::string err;
+  ASSERT_TRUE(worker.start(&err)) << err;
+  net::Client client;
+  ASSERT_TRUE(client.connect(worker.port(), &err, 120'000)) << err;
+
+  service::CompileResult r;
+  r.ok = true;
+  std::string payload = service::serialize_result(r);
+  const std::string field = "\nprint_dump 0\n";
+  size_t at = payload.find(field);
+  ASSERT_NE(at, std::string::npos) << payload;
+  payload.replace(at, field.size(), "\nprint_dump 18446744073709551615\n");
+
+  net::Request fill;
+  fill.type = net::RequestType::CacheFill;
+  fill.key = net::format_key(0xbad);
+  fill.payload = payload;
+  net::Response resp;
+  ASSERT_TRUE(client.call(std::move(fill), &resp, &err)) << err;
+  EXPECT_EQ(resp.status, net::Status::Error);
+  EXPECT_NE(resp.error.find("cache_fill"), std::string::npos) << resp.error;
+  EXPECT_EQ(worker.peer_stats().fills_received, 0u);
+
+  net::Request ping;
+  ping.type = net::RequestType::Ping;
+  ASSERT_TRUE(client.call(std::move(ping), &resp, &err)) << err;
+  EXPECT_EQ(resp.status, net::Status::Ok);
 
   worker.begin_drain();
   worker.wait();
@@ -971,192 +1013,9 @@ suite::BenchmarkApp three_unit_app() {
   return app;
 }
 
-TEST(DistFleet, UnitProbeAndFillAnswerFromTheUnitCache) {
-  // A standalone worker answers the unit-artifact messages directly from
-  // its attached incr::UnitCache, byte-exactly and without ever recursing
-  // into its own peer hooks.
-  service::ResultCache cache(64);
-  incr::UnitCache units(64);
-  dist::WorkerOptions wo;
-  wo.id = "solo";
-  wo.threads = 1;
-  wo.cache = &cache;
-  wo.unit_cache = &units;
-  dist::Worker worker(wo);
-  std::string err;
-  ASSERT_TRUE(worker.start(&err)) << err;
-
-  std::string payload = "APUNIT 2\nopaque snapshot ";
-  payload.push_back('\0');
-  payload += "bytes";
-  units.adopt("parallelize", 0xbeef, payload);
-
-  net::Client client;
-  ASSERT_TRUE(client.connect(worker.port(), &err, 120'000)) << err;
-
-  // Probe the held key: found, payload byte-exact.
-  net::Request probe;
-  probe.type = net::RequestType::UnitProbe;
-  probe.keys = {net::format_key(0xbeef)};
-  net::Response resp;
-  ASSERT_TRUE(client.call(std::move(probe), &resp, &err)) << err;
-  ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
-  ASSERT_EQ(resp.payloads.size(), 1u);
-  EXPECT_EQ(resp.payloads[0], payload);
-
-  // An unknown key is a clean miss, not an error.
-  net::Request miss;
-  miss.type = net::RequestType::UnitProbe;
-  miss.keys = {net::format_key(0xdead)};
-  ASSERT_TRUE(client.call(std::move(miss), &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::Ok);
-  EXPECT_EQ(resp.payloads, std::vector<std::string>{""});
-
-  // A fill lands in the cache under its boundary and is servable back.
-  net::Request fill;
-  fill.type = net::RequestType::UnitFill;
-  fill.key = net::format_key(0xf111);
-  fill.boundary = "normalize";
-  fill.payload = "APUSER 1 pushed";
-  ASSERT_TRUE(client.call(std::move(fill), &resp, &err)) << err;
-  ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
-  auto held = units.peek(0xf111);
-  ASSERT_TRUE(held.has_value());
-  EXPECT_EQ(*held, "APUSER 1 pushed");
-  EXPECT_GE(worker.peer_stats().unit_fills_received, 1u);
-
-  // A fill without its boundary label is a structured error — the
-  // receiver cannot bucket the artifact. (A malformed key never reaches
-  // the handler: the codec rejects it at decode time.)
-  net::Request nobound;
-  nobound.type = net::RequestType::UnitFill;
-  nobound.key = net::format_key(0xf222);
-  ASSERT_TRUE(client.call(std::move(nobound), &resp, &err)) << err;
-  EXPECT_EQ(resp.status, net::Status::Error);
-  EXPECT_NE(resp.error.find("boundary"), std::string::npos);
-
-  worker.begin_drain();
-  worker.wait();
-}
-
-TEST(DistFleet, BatchedUnitProbeAnswersOneSlotPerKeyInOrder) {
-  // One unit_probe carries a boundary's keys; the answer holds one slot
-  // per key in key order, empty where the key is not held.
-  service::ResultCache cache(64);
-  incr::UnitCache units(64);
-  dist::WorkerOptions wo;
-  wo.id = "solo";
-  wo.threads = 1;
-  wo.cache = &cache;
-  wo.unit_cache = &units;
-  dist::Worker worker(wo);
-  std::string err;
-  ASSERT_TRUE(worker.start(&err)) << err;
-  units.adopt("parallelize", 0xa1, "APUNIT 2 first");
-  units.adopt("normalize", 0xc3, "APUSER 1 third");
-
-  net::Client client;
-  ASSERT_TRUE(client.connect(worker.port(), &err, 120'000)) << err;
-  net::Request probe;
-  probe.type = net::RequestType::UnitProbe;
-  probe.keys = {net::format_key(0xa1), net::format_key(0xb2),
-                net::format_key(0xc3)};
-  net::Response resp;
-  ASSERT_TRUE(client.call(std::move(probe), &resp, &err)) << err;
-  ASSERT_EQ(resp.status, net::Status::Ok) << resp.error;
-  EXPECT_EQ(resp.payloads, (std::vector<std::string>{"APUNIT 2 first", "",
-                                                     "APUSER 1 third"}));
-
-  worker.begin_drain();
-  worker.wait();
-}
-
-TEST(DistFleet, LateJoiningWorkerResumesUnitsFromPeer) {
-  // Worker A compiles an app and holds its unit artifacts. Worker B joins
-  // AFTER that compile, then receives an edited version of the same app:
-  // B's whole-result probe misses everywhere (nobody compiled the edited
-  // source), but the unchanged unit's pass-boundary keys hit A via
-  // unit_probe — B resumes mid-pipeline from a peer's snapshots, and the
-  // result is bit-identical to a cold local compile.
-  dist::CoordinatorOptions co;
-  co.membership = {/*suspect_after_ms=*/60'000, /*dead_after_ms=*/120'000};
-  dist::Coordinator coord(co);
-  std::string err;
-  ASSERT_TRUE(coord.start(&err)) << err;
-
-  service::ResultCache cache_a(64), cache_b(64);
-  incr::UnitCache units_a(64), units_b(64);
-  dist::WorkerOptions wo;
-  wo.threads = 1;
-  wo.coordinator_port = coord.port();
-  wo.heartbeat_interval_ms = 100;
-  wo.id = "wa";
-  wo.cache = &cache_a;
-  wo.unit_cache = &units_a;
-  dist::Worker wa(wo);
-  ASSERT_TRUE(wa.start(&err)) << err;
-
-  suite::BenchmarkApp app = three_unit_app();
-  net::Client to_a;
-  ASSERT_TRUE(to_a.connect(wa.port(), &err, 120'000)) << err;
-  net::Response built;
-  ASSERT_TRUE(to_a.call(compile_request(app), &built, &err)) << err;
-  ASSERT_EQ(built.status, net::Status::Ok) << built.error;
-  EXPECT_EQ(built.result.unit_misses, 3u);  // cold fill of A's unit tier
-
-  // B joins late: its registration response lists A as a routable peer.
-  dist::Worker wb([&] {
-    dist::WorkerOptions o = wo;
-    o.id = "wb";
-    o.cache = &cache_b;
-    o.unit_cache = &units_b;
-    return o;
-  }());
-  ASSERT_TRUE(wb.start(&err)) << err;
-  ASSERT_FALSE(wb.peers().empty());
-
-  suite::BenchmarkApp edited = app;
-  edited.source = incr::mutate_unit(app.source, "UTWO", 5);
-  ASSERT_NE(edited.source, app.source);
-
-  net::Client to_b;
-  ASSERT_TRUE(to_b.connect(wb.port(), &err, 120'000)) << err;
-  net::Response resumed;
-  ASSERT_TRUE(to_b.call(compile_request(edited), &resumed, &err)) << err;
-  ASSERT_EQ(resumed.status, net::Status::Ok) << resumed.error;
-  EXPECT_FALSE(resumed.result.cache_hit);
-  // UONE resumed from A's snapshot; MAIN and UTWO recompiled.
-  EXPECT_EQ(resumed.result.unit_hits, 1u);
-  EXPECT_EQ(resumed.result.unit_peer_hits, 1u);
-  EXPECT_EQ(resumed.result.unit_misses, 2u);
-  // Fills go out after the reply: wait for B's queue before reading them.
-  wb.flush_fills();
-  service::PeerCacheStats bstats = wb.peer_stats();
-  EXPECT_GE(bstats.unit_probes_sent, 1u);
-  EXPECT_GE(bstats.unit_probe_hits, 1u);
-  // B's fresh unit computes were pushed back to A (unit_fill replication).
-  EXPECT_GE(bstats.unit_fills_sent, 1u);
-  EXPECT_GE(wa.peer_stats().unit_fills_received, 1u);
-
-  // Peer-resumed output is bit-identical to a cold local compile.
-  driver::PipelineResult cold =
-      driver::run_pipeline(edited, driver::PipelineOptions{});
-  ASSERT_TRUE(cold.ok);
-  ASSERT_TRUE(cold.program != nullptr);
-  EXPECT_EQ(resumed.result.program_text, fir::unparse(*cold.program));
-
-  coord.begin_drain();
-  coord.wait();
-  wa.begin_drain();
-  wa.wait();
-  wb.begin_drain();
-  wb.wait();
-}
-
-// A coordinator plus two one-lane workers carrying unit caches, as the
-// edit-serving deployment runs them.
-struct UnitFleet {
-  explicit UnitFleet(int64_t peer_timeout_ms = 2'000) {
+// A coordinator plus two one-lane workers that know each other as peers.
+struct PairFleet {
+  explicit PairFleet(int64_t peer_timeout_ms = 2'000) {
     dist::CoordinatorOptions co;
     co.membership = {/*suspect_after_ms=*/60'000, /*dead_after_ms=*/120'000};
     coord = std::make_unique<dist::Coordinator>(co);
@@ -1170,7 +1029,6 @@ struct UnitFleet {
       wo.heartbeat_interval_ms = 100;
       wo.peer_timeout_ms = peer_timeout_ms;
       wo.cache = &caches[i];
-      wo.unit_cache = &units[i];
       workers[i] = std::make_unique<dist::Worker>(wo);
       EXPECT_TRUE(workers[i]->start(&err)) << err;
     }
@@ -1181,7 +1039,7 @@ struct UnitFleet {
       std::this_thread::sleep_for(milliseconds(10));
     EXPECT_EQ(workers[0]->peers().size(), 2u);
   }
-  ~UnitFleet() {
+  ~PairFleet() {
     for (auto& w : workers) {
       w->begin_drain();
       w->wait();
@@ -1192,17 +1050,17 @@ struct UnitFleet {
 
   service::ResultCache caches[2]{service::ResultCache(64),
                                  service::ResultCache(64)};
-  incr::UnitCache units[2]{incr::UnitCache(256), incr::UnitCache(256)};
   std::unique_ptr<dist::Coordinator> coord;
   std::unique_ptr<dist::Worker> workers[2];
 };
 
 TEST(DistFleet, PeerHopsReuseOneConnection) {
-  // Edited compiles through a fleet with unit caches probe and fill peers
-  // on every request. All of those hops ride one kept channel per peer,
-  // so a worker's server sees a bounded number of connections — the
-  // coordinator's channel and its peer's — however many compiles run.
-  UnitFleet fleet;
+  // Edited compiles miss every cache, so each one probes its peer
+  // (cache_probe) and replicates its result (cache_fill). All of those
+  // hops ride one kept channel per peer, so a worker's server sees a
+  // bounded number of connections — the coordinator's channel and its
+  // peer's — however many compiles run.
+  PairFleet fleet;
   std::string err;
   net::Client client;
   ASSERT_TRUE(client.connect(fleet.coord->port(), &err, 120'000)) << err;
@@ -1221,8 +1079,8 @@ TEST(DistFleet, PeerHopsReuseOneConnection) {
   for (auto& w : fleet.workers) {
     w->flush_fills();
     service::PeerCacheStats ps = w->peer_stats();
-    probes += ps.probes_sent + ps.unit_probes_sent;
-    fills += ps.fills_sent + ps.unit_fills_sent;
+    probes += ps.probes_sent;
+    fills += ps.fills_sent;
   }
   // The peer plane was exercised...
   EXPECT_GE(probes, 20u);
@@ -1237,9 +1095,9 @@ TEST(DistFleet, FullFillQueueDropsTheOldest) {
   // A batch's items all store before its one reply, so their fills pile
   // up in wa's queue: past kMaxQueuedFills the oldest are dropped and
   // counted, and the newest still reach wb once the reply is out.
-  UnitFleet fleet;
+  PairFleet fleet;
   dist::Worker& wa = *fleet.workers[0];
-  constexpr int kItems = 100;
+  constexpr int kItems = static_cast<int>(dist::kMaxQueuedFills) + 44;
   net::Request batch;
   batch.type = net::RequestType::CompileBatch;
   for (int i = 0; i < kItems; ++i) {
@@ -1255,11 +1113,11 @@ TEST(DistFleet, FullFillQueueDropsTheOldest) {
   ASSERT_EQ(resp.batch.size(), static_cast<size_t>(kItems));
   wa.flush_fills();
 
-  const uint64_t queued = kItems + fleet.units[0].stats().stores;
+  const uint64_t queued = kItems;  // one cache_fill per fresh compile
   ASSERT_GT(queued, dist::kMaxQueuedFills);
   service::PeerCacheStats ps = wa.peer_stats();
   EXPECT_EQ(ps.fills_dropped, queued - dist::kMaxQueuedFills);
-  EXPECT_EQ(ps.fills_sent + ps.unit_fills_sent, dist::kMaxQueuedFills);
+  EXPECT_EQ(ps.fills_sent, dist::kMaxQueuedFills);
   auto key_of = [&](int i) {
     suite::BenchmarkApp app = tiny_app(1000 + i);
     return service::cache_key(app.source, app.annotations, {});
@@ -1273,7 +1131,7 @@ TEST(DistFleet, DrainWithADeadPeerReturnsWithinPeerTimeout) {
   // compile on wa probes it and queues fills for it. Draining wa must
   // flush or drop that queue within peer_timeout_ms, never hang on wb.
   constexpr int64_t kPeerTimeoutMs = 2'000;
-  UnitFleet fleet(kPeerTimeoutMs);
+  PairFleet fleet(kPeerTimeoutMs);
   dist::Worker& wa = *fleet.workers[0];
   dist::Worker& wb = *fleet.workers[1];
   wb.stop_hard();
@@ -1303,9 +1161,9 @@ TEST(DistFleet, DrainWithADeadPeerReturnsWithinPeerTimeout) {
   EXPECT_LT(elapsed.count(), kPeerTimeoutMs);
   // Nothing reached the dead peer.
   service::PeerCacheStats ps = wa.peer_stats();
-  EXPECT_EQ(ps.fills_sent + ps.unit_fills_sent, 0u);
-  EXPECT_GE(ps.unit_probes_sent, 1u);
-  EXPECT_EQ(ps.unit_probe_hits, 0u);
+  EXPECT_EQ(ps.fills_sent, 0u);
+  EXPECT_GE(ps.probes_sent, 1u);
+  EXPECT_EQ(ps.probe_hits, 0u);
 }
 
 TEST(DistFleet, GracefulLeaveIsAnnouncedNotDiscovered) {

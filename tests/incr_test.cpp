@@ -2,16 +2,12 @@
 // token-level unit fingerprints, the CALL/COMMON dependence graph (directed
 // summary-dependence rule and the bidirectional verification mode) and its
 // invalidation sets, content-only plan keys, snapshot (de)serialization,
-// the tiered unit-artifact cache with its peer hooks, and — the
-// load-bearing property — that incremental recompiles are bit-identical to
-// cold compiles for every suite app under every inlining configuration,
-// including under randomized single-unit edits, parallelizer option flips
-// that resume at the normalize boundary, and both dependence modes.
+// the in-memory unit-artifact cache, and — the load-bearing property —
+// that incremental recompiles are bit-identical to cold compiles for every
+// suite app under every inlining configuration, including under randomized
+// single-unit edits and both dependence modes.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
-#include <filesystem>
-#include <fstream>
 #include <random>
 #include <set>
 #include <string>
@@ -24,7 +20,6 @@
 #include "incr/fingerprint.h"
 #include "incr/plan.h"
 #include "incr/unit_cache.h"
-#include "incr/unit_serial.h"
 #include "interp/interp.h"
 #include "suite/suite.h"
 #include "support/diagnostics.h"
@@ -34,24 +29,9 @@
 namespace ap {
 namespace {
 
-namespace fs = std::filesystem;
 using driver::InlineConfig;
 using driver::PipelineOptions;
 using driver::PipelineResult;
-
-// A unique per-test temp directory, removed on scope exit.
-struct TempDir {
-  fs::path path;
-  explicit TempDir(const std::string& tag) {
-    path = fs::temp_directory_path() /
-           ("ap_incr_test_" + tag + "_" + std::to_string(::getpid()));
-    fs::remove_all(path);
-  }
-  ~TempDir() {
-    std::error_code ec;
-    fs::remove_all(path, ec);
-  }
-};
 
 // A six-unit app with a deliberately shaped dependence graph:
 //
@@ -590,36 +570,6 @@ TEST(Snapshot, ApplyRejectsDoShapeMismatch) {
   EXPECT_FALSE(incr::apply_snapshot(*unit, snap));
 }
 
-// The normalize boundary's payload: an exact AST round trip.
-TEST(Snapshot, UnitSerialRoundTripIsExact) {
-  for (const char* name : {"DYFESM", "TRFD"}) {
-    const suite::BenchmarkApp* app = suite::find_app(name);
-    ASSERT_TRUE(app != nullptr) << name;
-    auto prog = test::parse_ok(app->source);
-    ASSERT_TRUE(prog) << name;
-    for (const auto& unit : prog->units) {
-      std::string payload = incr::serialize_unit(*unit);
-      auto back = incr::deserialize_unit(payload);
-      ASSERT_TRUE(back.has_value() && *back) << name << "/" << unit->name;
-      EXPECT_EQ(fir::unparse_unit(**back), fir::unparse_unit(*unit))
-          << name << "/" << unit->name;
-      // Semantic fields the unparser does not show must round-trip too.
-      std::vector<int64_t> ids_a, ids_b;
-      fir::walk_stmts(unit->body, [&](const fir::Stmt& s) {
-        if (s.kind == fir::StmtKind::Do) ids_a.push_back(s.origin_id);
-        return true;
-      });
-      fir::walk_stmts((*back)->body, [&](const fir::Stmt& s) {
-        if (s.kind == fir::StmtKind::Do) ids_b.push_back(s.origin_id);
-        return true;
-      });
-      EXPECT_EQ(ids_a, ids_b) << name << "/" << unit->name;
-    }
-  }
-  EXPECT_FALSE(incr::deserialize_unit("").has_value());
-  EXPECT_FALSE(incr::deserialize_unit("APUSER 1 garbage").has_value());
-}
-
 // ---------------------------------------------------------------------------
 // Unit cache store
 // ---------------------------------------------------------------------------
@@ -635,7 +585,6 @@ TEST(UnitCacheStore, MemoryLruEvictsOldest) {
   auto r1 = cache.find("parallelize", 1, 101);
   ASSERT_TRUE(r1.payload.has_value());
   EXPECT_EQ(*r1.payload, "p-one");
-  EXPECT_EQ(r1.tier, incr::UnitTier::Memory);
   EXPECT_FALSE(cache.find("parallelize", 2, 102).payload.has_value());
   EXPECT_TRUE(cache.find("parallelize", 3, 103).payload.has_value());
   incr::IncrStats s = cache.stats();
@@ -643,29 +592,6 @@ TEST(UnitCacheStore, MemoryLruEvictsOldest) {
   EXPECT_EQ(s.evictions, 1u);
   EXPECT_EQ(s.memory_hits, 3u);
   EXPECT_EQ(s.misses, 1u);
-}
-
-TEST(UnitCacheStore, DiskTierSurvivesRestartAndPromotes) {
-  TempDir dir("disk");
-  uint64_t key = 0xabcdef12345678ull;
-  std::string payload = serialize_snapshot(sample_snapshot());
-  {
-    incr::UnitCache cache(8, dir.path.string());
-    cache.store("parallelize", key, 7, payload);
-  }
-  incr::UnitCache cache(8, dir.path.string());
-  EXPECT_EQ(cache.memory_entries(), 0u);
-  auto hit = cache.find("parallelize", key, 7);  // disk hit, promoted
-  ASSERT_TRUE(hit.payload.has_value());
-  EXPECT_EQ(hit.tier, incr::UnitTier::Disk);
-  auto snap = incr::deserialize_snapshot(*hit.payload);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->par.dep_tests, 17u);
-  EXPECT_EQ(cache.memory_entries(), 1u);
-  EXPECT_EQ(cache.find("parallelize", key, 7).tier, incr::UnitTier::Memory);
-  incr::IncrStats s = cache.stats();
-  EXPECT_EQ(s.disk_hits, 1u);
-  EXPECT_EQ(s.memory_hits, 1u);
 }
 
 TEST(UnitCacheStore, MissWithKnownFingerprintCountsAsInvalidated) {
@@ -704,96 +630,8 @@ TEST(UnitCacheStore, StatsAreKeptPerBoundary) {
   EXPECT_EQ(total.stores, 2u);
 }
 
-// The peer tier: a local miss consults the hook and adopts the payload;
-// peek/adopt (the wire-serving entry points) never recurse into the hooks.
-TEST(UnitCacheStore, PeerHookServesMissesWithoutRecursion) {
-  incr::UnitCache cache(8);
-  int lookups = 0, fills = 0;
-  cache.set_peer_lookup([&](const std::string& boundary,
-                            const std::vector<uint64_t>& keys) {
-    ++lookups;
-    EXPECT_EQ(boundary, "parallelize");
-    std::vector<std::optional<std::string>> out(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i)
-      if (keys[i] == 7) out[i] = "from-peer";
-    return out;
-  });
-  cache.set_store_hook(
-      [&](const std::string&, uint64_t, const std::string&) { ++fills; });
-
-  auto r = cache.find("parallelize", 7, 1);
-  ASSERT_TRUE(r.payload.has_value());
-  EXPECT_EQ(*r.payload, "from-peer");
-  EXPECT_EQ(r.tier, incr::UnitTier::Peer);
-  EXPECT_EQ(lookups, 1);
-  // The adopted payload was NOT replicated back (no fill recursion).
-  EXPECT_EQ(fills, 0);
-  // Second find: served from memory, no second probe.
-  EXPECT_EQ(cache.find("parallelize", 7, 1).tier, incr::UnitTier::Memory);
-  EXPECT_EQ(lookups, 1);
-  // A genuine miss probes the peer and still misses.
-  EXPECT_FALSE(cache.find("parallelize", 8, 2).payload.has_value());
-  EXPECT_EQ(lookups, 2);
-  incr::IncrStats s = cache.stats();
-  EXPECT_EQ(s.peer_hits, 1u);
-  EXPECT_EQ(s.misses, 1u);
-
-  // peek (peer-serving read) never consults the peer hook.
-  EXPECT_FALSE(cache.peek(9).has_value());
-  EXPECT_EQ(lookups, 2);
-  ASSERT_TRUE(cache.peek(7).has_value());
-  // adopt (peer-pushed fill) never fires the store hook.
-  cache.adopt("parallelize", 10, "pushed");
-  EXPECT_EQ(fills, 0);
-  EXPECT_TRUE(cache.peek(10).has_value());
-  // A local store DOES fire it (replication to peers).
-  cache.store("parallelize", 11, 3, "local");
-  EXPECT_EQ(fills, 1);
-}
-
-// A boundary's lookups answer from memory first, then ask the peer hook
-// ONCE for every key memory missed, in query order; each slot keeps its
-// own tier and miss classification.
-TEST(UnitCacheStore, BatchedFindAsksThePeerOnceForAllLocalMisses) {
-  incr::UnitCache cache(8);
-  cache.store("parallelize", 1, 11, "local");
-  cache.store("parallelize", 40, 44, "old-key");  // fp 44 known under 40
-  std::vector<std::vector<uint64_t>> asked;
-  cache.set_peer_lookup([&](const std::string&,
-                            const std::vector<uint64_t>& keys) {
-    asked.push_back(keys);
-    std::vector<std::optional<std::string>> out(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i)
-      if (keys[i] == 3) out[i] = "peer-three";
-    return out;
-  });
-
-  auto r = cache.find_many("parallelize",
-                           {{2, 22}, {1, 11}, {3, 33}, {41, 44}});
-  ASSERT_EQ(asked.size(), 1u);
-  EXPECT_EQ(asked[0], (std::vector<uint64_t>{2, 3, 41}));
-  ASSERT_EQ(r.size(), 4u);
-  EXPECT_FALSE(r[0].payload.has_value());
-  EXPECT_FALSE(r[0].invalidated);
-  EXPECT_EQ(r[1].tier, incr::UnitTier::Memory);
-  EXPECT_EQ(*r[1].payload, "local");
-  EXPECT_EQ(r[2].tier, incr::UnitTier::Peer);
-  EXPECT_EQ(*r[2].payload, "peer-three");
-  EXPECT_FALSE(r[3].payload.has_value());
-  EXPECT_TRUE(r[3].invalidated);
-  incr::IncrStats s = cache.stats();
-  EXPECT_EQ(s.memory_hits, 1u);
-  EXPECT_EQ(s.peer_hits, 1u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.invalidated_by_dep, 1u);
-
-  // All hits locally: the peer is not asked at all.
-  cache.find_many("parallelize", {{1, 11}, {3, 33}});
-  EXPECT_EQ(asked.size(), 1u);
-}
-
 // The (boundary, fingerprint) -> last key memory behind miss
-// classification is tied to the memory tier: storing many more distinct
+// classification is tied to the LRU: storing many more distinct
 // fingerprints than the capacity keeps it at or below the capacity, and
 // the pairs of keys still held keep classifying misses.
 TEST(UnitCacheStore, FingerprintBookkeepingIsBoundedByCapacity) {
@@ -817,7 +655,9 @@ TEST(UnitCacheStore, FingerprintBookkeepingIsBoundedByCapacity) {
   cache.store("normalize", 2, 5000 + last, "newer");
   for (uint64_t i = 0; i < kCapacity - 1; ++i)
     cache.store("parallelize", 9000 + i, 9000 + i, "filler");
-  EXPECT_FALSE(cache.peek(1000 + last).has_value());  // evicted
+  // The older key was evicted.
+  EXPECT_FALSE(
+      cache.find("normalize", 1000 + last, 5000 + last).payload.has_value());
   EXPECT_TRUE(cache.find("normalize", 3, 5000 + last).invalidated);
   EXPECT_LE(cache.fingerprint_entries(), kCapacity);
 }
@@ -849,10 +689,11 @@ TEST(Incremental, WarmRecompileIsBitIdenticalForAllAppsAndConfigs) {
       EXPECT_GT(fill.unit_misses, 0u) << what;
       EXPECT_GT(warm.unit_hits, 0u) << what;
       EXPECT_EQ(warm.unit_misses, 0u) << what;
-      // Both snapshotting boundaries resumed on the warm run.
+      // Only parallelize snapshots: normalize recomputes and reports no
+      // unit outcome.
       const pm::PassRecord* nrec = warm.timings.find("normalize");
       ASSERT_TRUE(nrec != nullptr) << what;
-      EXPECT_GT(nrec->unit_hits, 0) << what;
+      EXPECT_EQ(nrec->unit_hits, 0) << what;
       EXPECT_EQ(nrec->unit_misses, 0) << what;
     }
   }
@@ -885,12 +726,12 @@ TEST(Incremental, SeededEditsExactCountersAndIdenticalRuns) {
     EXPECT_EQ(incr_r.unit_misses, c.invalidated_set) << c.unit;
     EXPECT_EQ(incr_r.unit_hits, 6u - c.invalidated_set) << c.unit;
     EXPECT_EQ(incr_r.unit_invalidated, c.invalidated_set - 1) << c.unit;
-    // The normalize boundary shares the plan, so the same units resume.
-    const pm::PassRecord* nrec = incr_r.timings.find("normalize");
-    ASSERT_TRUE(nrec != nullptr) << c.unit;
-    EXPECT_EQ(static_cast<size_t>(nrec->unit_hits), 6u - c.invalidated_set)
+    // The request-level counters are the parallelize record's.
+    const pm::PassRecord* prec = incr_r.timings.find("parallelize");
+    ASSERT_TRUE(prec != nullptr) << c.unit;
+    EXPECT_EQ(static_cast<size_t>(prec->unit_hits), 6u - c.invalidated_set)
         << c.unit;
-    EXPECT_EQ(static_cast<size_t>(nrec->unit_misses), c.invalidated_set)
+    EXPECT_EQ(static_cast<size_t>(prec->unit_misses), c.invalidated_set)
         << c.unit;
 
     PipelineOptions cold_opts;
@@ -908,7 +749,7 @@ TEST(Incremental, SeededEditsExactCountersAndIdenticalRuns) {
 
 // An editor loop touching DYFESM's FORMP reuses exactly 9 of 12 units
 // under directed dependence, round after round against one warm cache, at
-// both snapshot boundaries; the bidirectional verification mode reuses
+// the parallelize boundary; the bidirectional verification mode reuses
 // only 1 of 12 (the COMMON-free CHOFAC). An edit of every unit reuses
 // nothing. Every compile is bit-identical to a cold one.
 TEST(Incremental, DyfesmFormpEditReusesNineOfTwelveUnits) {
@@ -929,7 +770,7 @@ TEST(Incremental, DyfesmFormpEditReusesNineOfTwelveUnits) {
   ASSERT_TRUE(bfill.ok);
   EXPECT_EQ(dfill.unit_misses, 12u);
 
-  // Restores at one snapshot boundary of a compile.
+  // Restores at one pass of a compile (-1 when the pass did not run).
   auto restored = [](const PipelineResult& r, const char* boundary) {
     const pm::PassRecord* rec = r.timings.find(boundary);
     return rec ? rec->unit_hits : -1;
@@ -946,11 +787,12 @@ TEST(Incremental, DyfesmFormpEditReusesNineOfTwelveUnits) {
     ASSERT_TRUE(directed.ok) << what;
     ASSERT_TRUE(bidir.ok) << what;
 
-    // Directed: only {FORMP, FSMP, DYFESM} recompile, at both boundaries.
+    // Directed: only {FORMP, FSMP, DYFESM} recompile at parallelize;
+    // normalize is no snapshot boundary and recomputes every unit.
     EXPECT_EQ(directed.unit_hits, 9u) << what;
     EXPECT_EQ(directed.unit_misses, 3u) << what;
     EXPECT_EQ(directed.unit_invalidated, 2u) << what;
-    EXPECT_EQ(restored(directed, "normalize"), 9) << what;
+    EXPECT_EQ(restored(directed, "normalize"), 0) << what;
     EXPECT_EQ(restored(directed, "parallelize"), 9) << what;
     // Bidirectional: the 1/12 reuse ceiling (CHOFAC shares no COMMON).
     EXPECT_EQ(bidir.unit_hits, 1u) << what;
@@ -1045,94 +887,6 @@ TEST(Incremental, RandomizedSingleUnitEditsStayBitIdentical) {
       }
     }
   }
-}
-
-// Flipping a dependence-test option invalidates only the parallelize
-// boundary: the pipeline resumes from the cached normalize artifacts
-// instead of recomputing the inline+normalize prefix. This is the
-// pass-sequence scoping the per-boundary option hashes buy.
-TEST(Incremental, NormalizeArtifactsSurviveParallelizerOptionChange) {
-  auto app = shaped_app();
-  incr::UnitCache cache(4096);
-  PipelineOptions opts;
-  opts.unit_cache = &cache;
-  ASSERT_TRUE(driver::run_pipeline(app, opts).ok);
-
-  PipelineOptions flipped = opts;
-  flipped.par.use_banerjee = false;
-  PipelineResult resumed = driver::run_pipeline(app, flipped);
-  ASSERT_TRUE(resumed.ok);
-  const pm::PassRecord* nrec = resumed.timings.find("normalize");
-  ASSERT_TRUE(nrec != nullptr);
-  EXPECT_EQ(nrec->unit_hits, 6);
-  EXPECT_EQ(nrec->unit_misses, 0);
-  // The parallelize boundary saw a changed option hash: every unit is a
-  // miss classified as invalidated (its own fingerprint is unchanged).
-  EXPECT_EQ(resumed.unit_hits, 0u);
-  EXPECT_EQ(resumed.unit_misses, 6u);
-  EXPECT_EQ(resumed.unit_invalidated, 6u);
-
-  PipelineOptions cold_opts;
-  cold_opts.par.use_banerjee = false;
-  PipelineResult cold = driver::run_pipeline(app, cold_opts);
-  expect_identical(resumed, cold, "banerjee flip");
-}
-
-TEST(Incremental, DiskTierServesAFreshProcess) {
-  TempDir dir("e2e");
-  auto app = shaped_app();
-  PipelineResult cold = driver::run_pipeline(app, PipelineOptions{});
-  ASSERT_TRUE(cold.ok);
-  {
-    incr::UnitCache cache(4096, dir.path.string());
-    PipelineOptions opts;
-    opts.unit_cache = &cache;
-    ASSERT_TRUE(driver::run_pipeline(app, opts).ok);
-  }
-  // A new cache over the same directory — the memory tier is empty, so
-  // every unit at both boundaries must come back from disk.
-  incr::UnitCache cache(4096, dir.path.string());
-  PipelineOptions opts;
-  opts.unit_cache = &cache;
-  PipelineResult warm = driver::run_pipeline(app, opts);
-  expect_identical(warm, cold, "disk-tier warm");
-  EXPECT_EQ(warm.unit_hits, 6u);
-  EXPECT_EQ(warm.unit_misses, 0u);
-  EXPECT_EQ(warm.unit_disk_hits, 6u);
-  auto by = cache.boundary_stats();
-  EXPECT_EQ(by["normalize"].disk_hits, 6u);
-  EXPECT_EQ(by["parallelize"].disk_hits, 6u);
-  EXPECT_EQ(cache.stats().disk_hits, 12u);
-}
-
-// Corrupted disk payloads must never poison a compile: the pass-level
-// restore rejects them and the unit recomputes (and re-stores).
-TEST(Incremental, CorruptDiskPayloadsFallBackToRecompute) {
-  TempDir dir("corrupt");
-  auto app = shaped_app();
-  PipelineResult cold = driver::run_pipeline(app, PipelineOptions{});
-  ASSERT_TRUE(cold.ok);
-  {
-    incr::UnitCache cache(4096, dir.path.string());
-    PipelineOptions opts;
-    opts.unit_cache = &cache;
-    ASSERT_TRUE(driver::run_pipeline(app, opts).ok);
-  }
-  size_t corrupted = 0;
-  for (const auto& e : fs::directory_iterator(dir.path)) {
-    std::ofstream(e.path(), std::ios::trunc) << "APUNIT 999 not a payload";
-    ++corrupted;
-  }
-  ASSERT_GT(corrupted, 0u);
-  incr::UnitCache cache(4096, dir.path.string());
-  PipelineOptions opts;
-  opts.unit_cache = &cache;
-  PipelineResult warm = driver::run_pipeline(app, opts);
-  ASSERT_TRUE(warm.ok);
-  expect_identical(warm, cold, "corrupt disk tier");
-  // Every probe found a payload, every restore rejected it.
-  EXPECT_EQ(warm.unit_hits, 0u);
-  EXPECT_EQ(warm.unit_misses, 6u);
 }
 
 }  // namespace

@@ -38,8 +38,7 @@ inline constexpr net::RequestType kAllRequestTypes[] = {
     net::RequestType::Hello,      net::RequestType::Register,
     net::RequestType::Heartbeat,  net::RequestType::CacheProbe,
     net::RequestType::CacheFill,  net::RequestType::Forward,
-    net::RequestType::CompileBatch, net::RequestType::Stats,
-    net::RequestType::UnitProbe,  net::RequestType::UnitFill};
+    net::RequestType::CompileBatch, net::RequestType::Stats};
 
 // A request of the given type with every type-relevant field populated
 // with non-default values.
@@ -102,17 +101,6 @@ inline net::Request rich_request(net::RequestType type) {
       r.batch = {std::move(a), std::move(b)};
       break;
     }
-    case net::RequestType::UnitProbe:
-      r.keys = {net::format_key(0xfeedface00c0ffeeull),
-                net::format_key(0x1), net::format_key(0x00c0ffee00000000ull)};
-      break;
-    case net::RequestType::UnitFill:
-      r.key = net::format_key(0xfeedface00c0ffeeull);
-      r.boundary = "parallelize";
-      r.payload = "APUNIT 2\nopaque ";
-      r.payload.push_back('\0');  // unit payloads are byte-exact too
-      r.payload += "bytes";
-      break;
   }
   return r;
 }
@@ -175,15 +163,6 @@ inline std::vector<net::Response> response_shapes() {
     r.payload = "serialized result";
     r.has_peers = true;
     r.peers = {{"a", "10.0.0.1", 1}, {"b", "10.0.0.2", 2}};
-    shapes.push_back(std::move(r));
-  }
-
-  // Unit probe answer: one slot per key, empty = not held.
-  {
-    net::Response r;
-    r.id = 14;
-    r.payloads = {"APUNIT 2\nfirst", "", "APUSER 1 third"};
-    r.payloads[0].push_back('\0');
     shapes.push_back(std::move(r));
   }
 

@@ -291,87 +291,30 @@ TEST(Protocol, FleetMessagesRoundTrip) {
   EXPECT_EQ(rback.peers[1].port, 2);
 }
 
-// Unit-artifact messages: unit_probe carries a list of hex keys (one
-// boundary's misses), unit_fill the same hex key shape as the
-// whole-result tier plus the boundary label, and payloads stay byte-exact
-// (they are opaque pass snapshots). Like every request, they decode only
-// under the one protocol version.
-TEST(Protocol, UnitMessagesRoundTripAndRequireV6) {
-  net::Request probe;
-  probe.type = net::RequestType::UnitProbe;
-  probe.id = 21;
-  probe.keys = {net::format_key(0xfeedface00c0ffeeull), net::format_key(0),
-                net::format_key(42)};
-  net::Request back;
+// v8 retired unit_probe/unit_fill (wire type values 12 and 13): both
+// codecs reject them as unknown request types, whatever they carry.
+TEST(Protocol, RetiredUnitMessagesAreUnknownTypes) {
+  net::Request out;
   std::string err;
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(probe), &back, &err))
-      << err;
-  EXPECT_EQ(back.type, net::RequestType::UnitProbe);
-  ASSERT_EQ(back.keys.size(), 3u);
-  uint64_t key = 0;
-  ASSERT_TRUE(net::parse_key(back.keys[0], &key));
-  EXPECT_EQ(key, 0xfeedface00c0ffeeull);
-  EXPECT_EQ(back.keys, probe.keys);
-  net::Request bin;
-  ASSERT_TRUE(net::decode_request_binary(net::encode_request_binary(probe),
-                                         &bin, &err))
-      << err;
-  EXPECT_EQ(bin.keys, probe.keys);
-
-  // A unit probe without keys, or with a key that is not hex, is rejected
-  // by both codecs.
-  for (const std::vector<std::string>& bad :
-       {std::vector<std::string>{}, std::vector<std::string>{"00aa", "zz"}}) {
-    net::Request r = probe;
-    r.keys = bad;
-    EXPECT_FALSE(net::request_from_json(net::request_to_json(r), &back, &err));
-    EXPECT_NE(err.find("keys"), std::string::npos) << err;
+  for (const char* frame :
+       {R"({"v": 8, "type": "unit_probe", "id": 4, "keys": ["00000000000000aa"]})",
+        R"({"v": 8, "type": "unit_fill", "id": 5, "key": "00000000000000aa",
+            "boundary": "parallelize", "payload": "APUNIT 2"})"}) {
+    auto doc = json::parse(frame);
+    ASSERT_TRUE(doc.has_value()) << frame;
+    err.clear();
+    EXPECT_FALSE(net::request_from_json(*doc, &out, &err)) << frame;
+    EXPECT_FALSE(err.empty()) << frame;
+  }
+  for (int retired : {12, 13}) {
+    net::Request r;
+    r.type = static_cast<net::RequestType>(retired);
     err.clear();
     EXPECT_FALSE(net::decode_request_binary(net::encode_request_binary(r),
-                                            &back, &err));
-    EXPECT_NE(err.find("keys"), std::string::npos) << err;
+                                            &out, &err))
+        << retired;
+    EXPECT_NE(err.find("enum"), std::string::npos) << err;
   }
-
-  net::Request fill;
-  fill.type = net::RequestType::UnitFill;
-  fill.key = net::format_key(7);
-  fill.boundary = "normalize";
-  fill.payload = "APUSER 1 opaque";
-  fill.payload.push_back('\xfe');
-  ASSERT_TRUE(net::request_from_json(net::request_to_json(fill), &back, &err))
-      << err;
-  EXPECT_EQ(back.type, net::RequestType::UnitFill);
-  EXPECT_EQ(back.boundary, "normalize");
-  EXPECT_EQ(back.payload, fill.payload);
-
-  // A unit probe claiming an older version is a version error in both
-  // codecs.
-  probe.version = net::kProtocolVersion - 1;
-  const std::string claim = "version " + std::to_string(probe.version);
-  EXPECT_FALSE(
-      net::request_from_json(net::request_to_json(probe), &back, &err));
-  EXPECT_NE(err.find(claim), std::string::npos) << err;
-  err.clear();
-  EXPECT_FALSE(net::decode_request_binary(net::encode_request_binary(probe),
-                                          &back, &err));
-  EXPECT_NE(err.find(claim), std::string::npos) << err;
-
-  // A probe answer is one payload slot per key, empty = not held —
-  // byte-exact and in key order through both codecs.
-  net::Response resp;
-  resp.id = 21;
-  resp.payloads = {fill.payload, "", "APUNIT 2 second"};
-  net::Response rback;
-  ASSERT_TRUE(
-      net::response_from_json(net::response_to_json(resp), &rback, &err))
-      << err;
-  EXPECT_EQ(rback.payloads, resp.payloads);
-  net::Response bback;
-  ASSERT_TRUE(net::decode_response_binary(net::encode_response_binary(resp),
-                                          &bback, &err))
-      << err;
-  EXPECT_EQ(net::response_to_json(bback).dump(),
-            net::response_to_json(resp).dump());
 }
 
 TEST(Protocol, RejectsWrongVersionAndMissingFields) {
@@ -388,16 +331,16 @@ TEST(Protocol, RejectsWrongVersionAndMissingFields) {
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
   EXPECT_NE(err.find("version"), std::string::npos);
 
-  doc = json::parse(R"({"v": 7, "type": "compile", "id": 1})");
+  doc = json::parse(R"({"v": 8, "type": "compile", "id": 1})");
   ASSERT_TRUE(doc.has_value());
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
   EXPECT_NE(err.find("source"), std::string::npos);
 
-  doc = json::parse(R"({"v": 7, "type": "nonsense", "id": 1})");
+  doc = json::parse(R"({"v": 8, "type": "nonsense", "id": 1})");
   ASSERT_TRUE(doc.has_value());
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
 
-  doc = json::parse(R"({"v": 7, "type": "ping", "id": "one"})");
+  doc = json::parse(R"({"v": 8, "type": "ping", "id": "one"})");
   ASSERT_TRUE(doc.has_value());
   EXPECT_FALSE(net::request_from_json(*doc, &out, &err));
 }
@@ -606,7 +549,7 @@ TEST(Server, WellFormedFrameBadRequestDrawsProtocolError) {
   net::Client client;
   std::string err;
   ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-  ASSERT_TRUE(client.send_frame(R"({"v": 7, "type": "compile"})", &err));
+  ASSERT_TRUE(client.send_frame(R"({"v": 8, "type": "compile"})", &err));
   auto payload = client.recv_frame(&err);
   ASSERT_TRUE(payload.has_value()) << err;
   auto doc = json::parse(*payload);
@@ -832,49 +775,20 @@ TEST(Server, UnsupportedVersionIsStructuredAndNonFatal) {
   ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::UnsupportedVersion);
   EXPECT_EQ(resp.id, 2);
-  EXPECT_EQ(live.server.stats().protocol_errors, 0u);
-}
 
-// unit_probe/unit_fill are version-gated at the server front door like
-// every request, and on a non-fleet server a correctly-versioned probe
-// draws a structured error (not a crash, not a protocol error) — the
-// connection survives both.
-TEST(Server, UnitProbeIsVersionGatedAndStructuredWithoutFleet) {
-  LiveServer live;
-  net::Client client;
-  std::string err;
-  ASSERT_TRUE(client.connect(live.server.port(), &err, 30'000)) << err;
-
-  // A v5 claim, and a v6 peer's single-key probe: unsupported_version,
-  // naming the version spoken here; the connection stays.
-  net::Response resp;
-  for (const char* frame :
-       {R"({"v": 5, "type": "unit_probe", "id": 4, "key": "00000000000000aa"})",
-        R"({"v": 6, "type": "unit_probe", "id": 5, "key": "00000000000000aa"})"}) {
-    ASSERT_TRUE(client.send_frame(frame, &err)) << err;
-    auto payload = client.recv_frame(&err);
-    ASSERT_TRUE(payload.has_value()) << err;
-    auto doc = json::parse(*payload);
-    ASSERT_TRUE(doc.has_value());
-    ASSERT_TRUE(net::response_from_json(*doc, &resp, &err)) << err;
-    EXPECT_EQ(resp.status, net::Status::UnsupportedVersion) << frame;
-    EXPECT_NE(resp.error.find("v7"), std::string::npos) << resp.error;
-  }
-
-  // A well-versioned probe against a single (non-fleet) server: a
-  // structured error.
+  // A well-versioned fleet message against a single (non-fleet) server:
+  // a structured error, and the connection is still good.
   net::Request probe;
-  probe.type = net::RequestType::UnitProbe;
-  probe.keys = {net::format_key(0xaa)};
+  probe.type = net::RequestType::CacheProbe;
+  probe.key = net::format_key(0xaa);
   ASSERT_TRUE(client.call(std::move(probe), &resp, &err)) << err;
   EXPECT_EQ(resp.status, net::Status::Error);
   EXPECT_NE(resp.error.find("not a fleet endpoint"), std::string::npos);
+  net::Request again;
+  again.type = net::RequestType::Ping;
+  ASSERT_TRUE(client.call(std::move(again), &resp, &err)) << err;
+  EXPECT_EQ(resp.status, net::Status::Ok);
   EXPECT_EQ(live.server.stats().protocol_errors, 0u);
-
-  // The connection is still good for real work.
-  net::Response ok;
-  ASSERT_TRUE(client.call(compile_request(quick_app()), &ok, &err)) << err;
-  EXPECT_EQ(ok.status, net::Status::Ok);
 }
 
 TEST(Server, IdleConnectionsAreReaped) {

@@ -324,7 +324,7 @@ TEST(PassManager, PerUnitDiagnosticsMergeInUnitOrder) {
 // --- Artifact protocol ------------------------------------------------------
 
 // In-memory ArtifactStore that records every probe and store, with
-// per-unit knobs for participation, served tier, and the invalidated
+// per-unit knobs for participation, held payloads, and the invalidated
 // miss classification — everything the manager's counters must reflect.
 class FakeArtifactStore : public pm::ArtifactStore {
  public:
@@ -353,8 +353,6 @@ class FakeArtifactStore : public pm::ArtifactStore {
     auto it = payloads.find(unit_name);
     if (it != payloads.end()) {
       p.payload = it->second;
-      auto t = tiers.find(unit_name);
-      p.tier = t == tiers.end() ? pm::ArtifactTier::Memory : t->second;
     } else {
       p.invalidated = invalidated_units.count(unit_name) > 0;
     }
@@ -370,7 +368,6 @@ class FakeArtifactStore : public pm::ArtifactStore {
 
   bool participating = true;
   std::map<std::string, std::string> payloads;
-  std::map<std::string, pm::ArtifactTier> tiers;
   std::set<std::string> invalidated_units;
   std::vector<Call> probes;
   std::vector<Call> stores;
@@ -434,12 +431,9 @@ TEST(PassManager, ArtifactProtocolProbesRestoresAndStores) {
     EXPECT_EQ(store.payloads["S1"], "snap:S1");
   }
 
-  // Warm run with tier labels: every unit restores, nothing recomputes,
-  // and the per-tier counters split the hits the way the store reported.
+  // Warm run: every unit restores and nothing recomputes.
   store.probes.clear();
   store.stores.clear();
-  store.tiers["S1"] = pm::ArtifactTier::Disk;
-  store.tiers["S2"] = pm::ArtifactTier::Peer;
   {
     pm::PassManagerOptions opts;
     opts.artifacts = &store;
@@ -455,8 +449,6 @@ TEST(PassManager, ArtifactProtocolProbesRestoresAndStores) {
     const pm::PassRecord& rec = mgr.records()[0];
     EXPECT_EQ(rec.unit_hits, 4);
     EXPECT_EQ(rec.unit_misses, 0);
-    EXPECT_EQ(rec.unit_disk_hits, 1);
-    EXPECT_EQ(rec.unit_peer_hits, 1);
     EXPECT_TRUE(store.stores.empty());  // restores are not re-stored
   }
 

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "net/binproto.h"
+#include "tests/byte_mutator.h"
 #include "tests/net_corpus.h"
 
 namespace ap {
@@ -25,37 +26,6 @@ namespace {
 constexpr uint64_t kSeed = 0x9e3779b97f4a7c15ull;
 constexpr int kIterations = 20'000;  // per decoder
 constexpr size_t kMaxReported = 8;
-
-std::string mutate(std::string s, std::mt19937_64& rng, bool binary) {
-  auto pick = [&](size_t n) {
-    return static_cast<size_t>(rng() % (n == 0 ? 1 : n));
-  };
-  int rounds = 1 + static_cast<int>(rng() % 3);
-  for (int i = 0; i < rounds; ++i) {
-    switch (rng() % 4) {
-      case 0:  // flip bits of one byte
-        if (!s.empty()) s[pick(s.size())] ^= static_cast<char>(1 + rng() % 255);
-        break;
-      case 1:  // truncate
-        s.resize(pick(s.size() + 1));
-        break;
-      case 2:  // insert a random byte
-        s.insert(s.begin() + static_cast<std::ptrdiff_t>(pick(s.size() + 1)),
-                 static_cast<char>(rng()));
-        break;
-      case 3: {  // inflate a length prefix (binary) or a number (JSON)
-        size_t at = pick(s.size() + 1);
-        if (binary) {
-          s.replace(at, at < s.size() ? 1 : 0, "\xff\xff\xff\xff\x0f");
-        } else {
-          s.insert(at, "99999999999999999999");
-        }
-        break;
-      }
-    }
-  }
-  return s;
-}
 
 // Decoding through one codec and checking the invariants, per message type.
 template <class M>
@@ -80,7 +50,8 @@ void fuzz(const Codec<M>& c, const std::vector<M>& seeds, bool binary,
       failures.push_back(what + " on input " + testing::PrintToString(input));
   };
   for (int it = 0; it < kIterations; ++it) {
-    std::string input = mutate(inputs[rng() % inputs.size()], rng, binary);
+    std::string input =
+        fuzz::mutate(inputs[rng() % inputs.size()], rng, binary);
     M m;
     std::string err;
     bool ok;
