@@ -3,6 +3,7 @@
 // reference implementation being mirrored is interp.cpp.
 #include "interp/bytecode.h"
 
+#include <algorithm>
 #include <map>
 #include <utility>
 
@@ -39,11 +40,12 @@ class UnitCompiler {
     build_slots();
     compile_prologue();
     out_ = &cu_.code;
-    next_reg_ = 0;
+    next_reg_ = kConstRegs;
     for (const auto& s : u_.body)
       if (s) compile_stmt(*s);
     emit({Op::Ret});
-    cu_.num_regs = max_reg_;
+    cu_.num_regs = std::max(max_reg_,
+                            static_cast<int32_t>(cu_.const_regs.size()));
   }
 
  private:
@@ -76,6 +78,7 @@ class UnitCompiler {
   std::vector<int32_t> lane_cell_, lane_array_;
 
   std::map<std::pair<uint64_t, bool>, int32_t> const_ids_;
+  std::map<std::pair<uint64_t, bool>, int32_t> const_regs_;  // -> register
   std::map<std::string, int32_t> string_ids_;
 
   // ---- small helpers ------------------------------------------------------
@@ -93,11 +96,17 @@ class UnitCompiler {
     return r;
   }
 
-  int32_t intern_const(RtVal v) {
+  // Constants are told apart by bit pattern and tag: 1 and 1.0, or 0.0 and
+  // -0.0, are different constants.
+  static std::pair<uint64_t, bool> const_key(RtVal v) {
     uint64_t bits;
     static_assert(sizeof(bits) == sizeof(v.v));
     __builtin_memcpy(&bits, &v.v, sizeof(bits));
-    auto key = std::make_pair(bits, v.is_int);
+    return {bits, v.is_int};
+  }
+
+  int32_t intern_const(RtVal v) {
+    auto key = const_key(v);
     auto it = const_ids_.find(key);
     if (it != const_ids_.end()) return it->second;
     int32_t id = static_cast<int32_t>(m_.consts.size());
@@ -123,11 +132,30 @@ class UnitCompiler {
     return static_cast<int32_t>(m_.keys.size() - 1);
   }
 
+  // The reserved register holding `v`, or -1 once the reserve is full.
+  int32_t const_reg(RtVal v) {
+    auto key = const_key(v);
+    auto it = const_regs_.find(key);
+    if (it != const_regs_.end()) return it->second;
+    if (cu_.const_regs.size() >= static_cast<size_t>(kConstRegs)) return -1;
+    int32_t r = static_cast<int32_t>(cu_.const_regs.size());
+    cu_.const_regs.push_back(v);
+    const_regs_[key] = r;
+    return r;
+  }
+
+  // A fresh register loaded with `v`, for values the code goes on to write.
+  int32_t load_const(RtVal v) {
+    int32_t r = alloc_reg();
+    emit({Op::LoadConst, r, 0, 0, intern_const(v)});
+    return r;
+  }
+
+  // A register holding `o`'s value, which the code only reads.
   int32_t materialize(const Operand& o) {
     if (!o.is_const) return o.reg;
-    int32_t r = alloc_reg();
-    emit({Op::LoadConst, r, 0, 0, intern_const(o.cst)});
-    return r;
+    int32_t r = const_reg(o.cst);
+    return r >= 0 ? r : load_const(o.cst);
   }
 
   // Emit an Error instruction; the dummy constant keeps expression
@@ -317,7 +345,7 @@ class UnitCompiler {
 
   void compile_prologue() {
     out_ = &cu_.prologue;
-    next_reg_ = 0;
+    next_reg_ = kConstRegs;
 
     // PARAMETER constants, in declaration order (make_frame step 1). The
     // value is stored verbatim (no truncation), like the tree-walker.
@@ -537,11 +565,13 @@ class UnitCompiler {
                         : rt_max_step(best, vs[i].cst);
         return Operand::constant(best);
       }
-      int32_t acc = alloc_reg();
-      if (vs[0].is_const)
-        emit({Op::LoadConst, acc, 0, 0, intern_const(vs[0].cst)});
-      else
+      int32_t acc;
+      if (vs[0].is_const) {
+        acc = load_const(vs[0].cst);
+      } else {
+        acc = alloc_reg();
         emit({Op::Move, acc, vs[0].reg});
+      }
       for (size_t i = 1; i < vs.size(); ++i) {
         int32_t v = materialize(vs[i]);
         emit({is_min ? Op::MinStep : Op::MaxStep, acc, v});
@@ -696,13 +726,13 @@ class UnitCompiler {
     }
   }
 
-  // Convert a DO bound to its integer value (eval(...).as_int()).
-  int32_t int_bound_reg(const Operand& o) {
+  // Convert a DO bound to its integer value (eval(...).as_int()). The
+  // running counter (`running`) gets a register of its own; a constant
+  // bound or step is read from its reserved register.
+  int32_t int_bound_reg(const Operand& o, bool running) {
     if (o.is_const) {
-      int32_t r = alloc_reg();
-      emit({Op::LoadConst, r, 0, 0,
-            intern_const(RtVal::integer(o.cst.as_int()))});
-      return r;
+      RtVal v = RtVal::integer(o.cst.as_int());
+      return running ? load_const(v) : materialize(Operand::constant(v));
     }
     int32_t r = alloc_reg();
     emit({Op::ToInt, r, o.reg});
@@ -714,9 +744,9 @@ class UnitCompiler {
     Operand hi = compile_expr(*s.do_hi);
     Operand step = s.do_step ? compile_expr(*s.do_step)
                              : Operand::constant(RtVal::integer(1));
-    int32_t r_i = int_bound_reg(lo);  // doubles as the running i
-    int32_t r_hi = int_bound_reg(hi);
-    int32_t r_step = int_bound_reg(step);
+    int32_t r_i = int_bound_reg(lo, true);  // doubles as the running i
+    int32_t r_hi = int_bound_reg(hi, false);
+    int32_t r_step = int_bound_reg(step, false);
     emit({Op::CheckStep, r_step});
 
     int32_t iv = find_scalar(s.do_var);

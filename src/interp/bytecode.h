@@ -14,6 +14,9 @@
 //     immediates, column-major strides live in the frame's array record),
 //   * constant subexpressions are folded at compile time using the SAME
 //     helpers the executor runs, so folding can never change a result,
+//   * a unit's first kConstRegs distinct literals live in reserved
+//     registers, loaded when a frame is bound to the unit (or a lane first
+//     runs it), so reading a literal costs no instruction,
 //   * every OMP-parallel loop body is compiled a second time, as a lane
 //     body, with its PRIVATE, REDUCTION and loop-variable references
 //     redirected to a lane's own cells, so entering a region costs
@@ -123,7 +126,8 @@ inline RtVal rt_max_step(RtVal best, RtVal v) { return v.v > best.v ? v : best; 
 enum class Op : uint8_t {
   Charge,       // statement boundary: decrement the step budget
   Move,         // r[a] = r[b]
-  LoadConst,    // r[a] = consts[d]
+  LoadConst,    // r[a] = consts[d]: a running DO counter's or MIN/MAX
+                // accumulator's start, or a literal past the reserve
   LoadBool,     // r[a] = logical(d != 0)
   LoadScalar,   // r[a] = {*frame.scalar[d], frame.scalar_int[d]}
   StoreScalar,  // *frame.scalar[d] = r[a], truncated when the slot is INTEGER
@@ -176,6 +180,10 @@ struct Insn {
 };
 
 inline constexpr int kMaxRank = 7;
+
+// Registers [0, kConstRegs) of every unit are reserved for its literals;
+// CompiledUnit::const_regs holds the ones it uses.
+inline constexpr int32_t kConstRegs = 32;
 
 // One subscript: either a register or a compile-time constant (reg < 0).
 struct SubRef {
@@ -303,8 +311,11 @@ struct CompiledUnit {
   std::vector<Insn> code;  // unit body; ends with Ret
   std::vector<Insn> lane_code;  // lane bodies of the parallel loops
   // Registers: every register is written before it is read, so a reused
-  // frame or lane needs no zeroed register file.
+  // frame or lane needs no zeroed register file. Register i <
+  // const_regs.size() holds literal const_regs[i]: it is written when a
+  // frame is bound to this unit or a lane first runs it, and never by code.
   int32_t num_regs = 0;
+  std::vector<RtVal> const_regs;
   std::vector<ScalarSlot> scalars;  // frame cell i backs slot i when local
   std::vector<int32_t> common_scalars;  // slots of kind Common
   std::vector<ArraySlot> arrays;

@@ -84,19 +84,33 @@ struct FrameGuard {
 // One ParDo lane's state, kept on the Executor and reused by every region.
 // A region sets up only what its plan privatizes: the cells, the private
 // array copies and the override entries of its privates. Only the lane
-// writes here while a region runs; the encountering thread reads `done`,
-// the counters in `ctx` (same cache line) and the cells after the join.
-// Cache-line aligned: `ctx` is written on every instruction, so two lanes
-// must not share a line.
+// writes here while a region runs; the encountering thread reads the cells
+// after the join. The lane's counters come back on its completion line
+// (LaneReport), not from here. Cache-line aligned: `ctx` is written on
+// every instruction, so two lanes must not share a line.
 struct alignas(64) Lane {
-  bool done = false;  // this region's chunk ran to its end
   VmCtx ctx;
   std::vector<double> cells;  // private scalars, reductions, loop variable
   std::vector<uint8_t> cell_int;
   std::vector<ArrayRec> arrays;              // per private array
   std::vector<std::vector<double>> buffers;  // their backing stores
   std::vector<RtVal> regs;
+  // The unit whose constants regs[0, const_regs.size()) hold.
+  const CompiledUnit* consts_of = nullptr;
 };
+
+// What a lane's chunk returns to the encountering thread, on the lane's
+// completion line: the statements and instructions it ran.
+struct LaneReport {
+  int64_t steps = 0;
+  uint64_t insns = 0;
+};
+
+// A frame's or a lane's register file, bound to `cu`: its constant
+// registers hold the unit's literals.
+void load_consts(std::vector<RtVal>& regs, const CompiledUnit& cu) {
+  std::copy(cu.const_regs.begin(), cu.const_regs.end(), regs.begin());
+}
 
 double red_identity(RedOp op) {
   switch (op) {
@@ -153,12 +167,12 @@ class Executor {
     } catch (const RtError& e) {
       result.error = e.message;
     }
-    result.output = output_;
-    result.statements_in_parallel = parallel_steps_;
+    result.output = own_.output;
+    result.statements_in_parallel = own_.parallel_steps;
     result.statements_executed =
         static_cast<uint64_t>(opts_.max_steps - ctx.steps_left) +
-        parallel_steps_;
-    result.instructions_executed = ctx.insns + parallel_insns_;
+        own_.parallel_steps;
+    result.instructions_executed = ctx.insns + own_.parallel_insns;
     return result;
   }
 
@@ -175,11 +189,15 @@ class Executor {
   std::optional<ThreadPoolLease> lease_;
   ThreadPool* pool_ = nullptr;
   std::vector<Lane> lanes_;  // indexed by chunk; see run_pardo
-  std::mutex output_mu_;
-  std::string output_;
-  // Lane counters, summed by the encountering thread after each join.
-  uint64_t parallel_steps_ = 0;
-  uint64_t parallel_insns_ = 0;
+  // Written between regions, or under the mutex: on a line of its own, so
+  // the fields above, which every lane reads, stay in the lanes' caches.
+  struct alignas(64) Own {
+    std::mutex output_mu;
+    std::string output;
+    // Lane counters, summed by the encountering thread after each join.
+    uint64_t parallel_steps = 0;
+    uint64_t parallel_insns = 0;
+  } own_;
 
   void clear_overrides(VmCtx& ctx) const {
     ctx.scalar_ov.assign(m_.keys.size(), nullptr);
@@ -253,6 +271,7 @@ class Executor {
       f.arrays.resize(na);
       f.locals.resize(na);
       f.regs.resize(static_cast<size_t>(cu.num_regs));
+      load_consts(f.regs, cu);
     }
     std::fill(f.cells.begin(), f.cells.end(), 0.0);
     for (int32_t i : cu.common_scalars) {
@@ -413,32 +432,25 @@ class Executor {
 
   // ---- parallel DO --------------------------------------------------------
 
-  void run_pardo(const CompiledUnit& cu, VmFrame& f, VmCtx& ctx,
-                 const ParDoPlan& plan, int64_t lo, int64_t hi) {
+  void run_pardo(VmFrame& f, VmCtx& ctx, const ParDoPlan& plan, int64_t lo,
+                 int64_t hi) {
     // One chunk per lane, contiguous and in order (ThreadPool::parallel_for),
     // so lanes [0, nchunks) run and the last one runs the last iteration.
     const size_t nchunks =
         static_cast<size_t>(std::min<int64_t>(pool_->size(), hi - lo + 1));
+    // Everything a lane needs to start travels in the pool's job line.
+    auto chunk = [this, &f, &plan, steps = ctx.steps_left](
+                     int64_t clo, int64_t chi, int k) {
+      return run_chunk(f, plan, steps, lanes_[static_cast<size_t>(k)], clo,
+                       chi);
+    };
+    static_assert(ThreadPool::carries_inline<decltype(chunk)>);
     // Every chunk runs even when one faults; the chunks that finished count,
     // as the tree-walker's do.
-    auto count = [&] {
-      for (size_t t = 0; t < nchunks; ++t) {
-        const Lane& L = lanes_[t];
-        if (!L.done) continue;
-        parallel_steps_ += static_cast<uint64_t>(ctx.steps_left - L.ctx.steps_left);
-        parallel_insns_ += L.ctx.insns;
-      }
-    };
-    try {
-      pool_->parallel_for(lo, hi, [&](int64_t clo, int64_t chi, int tid) {
-        run_chunk(cu, f, ctx, plan, lanes_[static_cast<size_t>(tid)], clo,
-                  chi);
-      });
-    } catch (...) {
-      count();
-      throw;
-    }
-    count();
+    pool_->parallel_for(lo, hi, chunk, [this](int, const LaneReport& r) {
+      own_.parallel_steps += static_cast<uint64_t>(r.steps);
+      own_.parallel_insns += r.insns;
+    });
 
     // Last-value copy-out (sequential semantics for live-out privates).
     const Lane& last = lanes_[nchunks - 1];
@@ -481,14 +493,14 @@ class Executor {
   // One lane's chunk [clo, chi] of the region: the lane body reads the
   // encountering frame `f` for everything shared and its own cells and
   // arrays for what the plan privatizes.
-  void run_chunk(const CompiledUnit& cu, VmFrame& f, const VmCtx& ctx,
-                 const ParDoPlan& plan, Lane& L, int64_t clo, int64_t chi) {
+  LaneReport run_chunk(VmFrame& f, const ParDoPlan& plan, int64_t steps,
+                       Lane& L, int64_t clo, int64_t chi) {
+    const CompiledUnit& cu = *f.cu;
     // Share the step budget approximately (each lane gets the full
     // remainder; the guard is about runaway loops, not precise accounting).
-    L.done = false;
     VmCtx& t = L.ctx;
     t.in_parallel = true;
-    t.steps_left = ctx.steps_left;
+    t.steps_left = steps;
     t.insns = 0;
     t.par_body = plan.lane_start;
 
@@ -528,6 +540,10 @@ class Executor {
 
     if (L.regs.size() < static_cast<size_t>(cu.num_regs))
       L.regs.resize(static_cast<size_t>(cu.num_regs));
+    if (L.consts_of != &cu) {
+      load_consts(L.regs, cu);
+      L.consts_of = &cu;
+    }
     for (int64_t i = clo; i <= chi; ++i) {
       iv = static_cast<double>(i);
       exec_range(cu, f, t, L.regs.data(), cu.lane_code, plan.lane_start,
@@ -541,7 +557,7 @@ class Executor {
       else
         t.scalar_ov[static_cast<size_t>(p.common_key)] = nullptr;
     }
-    L.done = true;
+    return LaneReport{steps - t.steps_left, t.insns};
   }
 
   // ---- dispatch loop ------------------------------------------------------
@@ -680,7 +696,7 @@ class Executor {
           if (opts_.enable_parallel && pool_ && !ctx.in_parallel &&
               step == 1 && hi > lo) {
             const ParDoPlan& plan = cu.pardos[static_cast<size_t>(I.d)];
-            run_pardo(cu, f, ctx, plan, lo, hi);
+            run_pardo(f, ctx, plan, lo, hi);
             pc = plan.exit_pc;
           }
           break;  // otherwise fall through to the serial loop
@@ -778,9 +794,9 @@ class Executor {
         line += format_val(r[item.reg]);
     }
     {
-      std::lock_guard<std::mutex> lock(output_mu_);
-      output_ += line;
-      output_ += '\n';
+      std::lock_guard<std::mutex> lock(own_.output_mu);
+      own_.output += line;
+      own_.output += '\n';
     }
   }
 };

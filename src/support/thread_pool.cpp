@@ -19,10 +19,10 @@ void cpu_relax() {
 #endif
 }
 
-// Polls `done` for at most kSpinBudget; true once it holds.
+// Polls `done` for at most `budget`; true once it holds.
 template <class Pred>
-bool spin_until(Pred done) {
-  auto deadline = std::chrono::steady_clock::now() + ThreadPool::kSpinBudget;
+bool spin_until(Pred done, std::chrono::microseconds budget) {
+  auto deadline = std::chrono::steady_clock::now() + budget;
   for (unsigned n = 1;; ++n) {
     if (done()) return true;
     cpu_relax();
@@ -33,13 +33,14 @@ bool spin_until(Pred done) {
 
 }  // namespace
 
-ThreadPool::ThreadPool(int num_threads) {
-  int extra = std::max(0, num_threads - 1);
+ThreadPool::ThreadPool(int num_threads)
+    : lanes_(std::max(1, num_threads)),
+      done_(std::make_unique<Completion[]>(static_cast<size_t>(lanes_))) {
   unsigned hw = std::thread::hardware_concurrency();
-  spin_ = hw != 0 && static_cast<unsigned>(extra + 1) <= hw;
-  workers_.reserve(static_cast<size_t>(extra));
-  for (int i = 0; i < extra; ++i)
-    workers_.emplace_back([this] { worker_main(); });
+  spin_ = hw != 0 && static_cast<unsigned>(lanes_) <= hw;
+  workers_.reserve(static_cast<size_t>(lanes_ - 1));
+  for (int k = 1; k < lanes_; ++k)
+    workers_.emplace_back([this, k] { lane_main(k); });
 }
 
 ThreadPool::~ThreadPool() {
@@ -51,101 +52,154 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run(int64_t count, const void* ctx, Invoke invoke) {
-  if (count <= 0) return;
-  if (count == 1 || workers_.empty()) {
-    for (int64_t i = 0; i < count; ++i) invoke(ctx, i);
-    return;
-  }
+void ThreadPool::run(int64_t count, Invoke invoke) {
   if (static_cast<uint64_t>(count) > kItemMask)
     throw std::length_error("ThreadPool: too many items in one job");
+  job_.invoke = invoke;
+  next_.store(lanes_, std::memory_order_relaxed);
+  const uint64_t gen = generation(job_.word.load(std::memory_order_relaxed)) + 1;
+  // A release store: the caller starts its own item while the line makes
+  // its way to the lanes. Lanes parked since an earlier job are woken now.
+  // One that parks while the store is in flight is seen after item 0: it
+  // is woken then, or, when others were woken already, the caller runs its
+  // item below.
+  job_.word.store(gen << 32 | static_cast<uint64_t>(count),
+                  std::memory_order_release);
+  const bool woken = sleepers_.load(std::memory_order_relaxed) > 0;
+  if (woken) wake_lanes();
 
-  // The previous job has no unclaimed item left, so no lane can claim
-  // anything until the word below publishes these.
-  invoke_.store(invoke, std::memory_order_relaxed);
-  ctx_.store(ctx, std::memory_order_relaxed);
-  pending_.store(count, std::memory_order_relaxed);
-  uint64_t gen = generation(word_.load(std::memory_order_relaxed)) + 1;
-  // Item 0 is the caller's; items 1..count-1 are left to claim.
-  word_.store(gen << 32 | static_cast<uint64_t>(count - 1));
-  if (sleepers_.load() > 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_work_.notify_all();
-  }
-
-  run_item(invoke, ctx, 0);
-  claim_items(gen);
-  await_done();
-  std::exception_ptr error = std::exchange(error_, nullptr);
-  if (error) std::rethrow_exception(error);
+  run_item(count, 0, done_[0]);
+  // Against sleepers_ (see await_job): either a parking lane saw the word,
+  // or the load below sees the lane.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  if (!woken && sleepers_.load() > 0) wake_lanes();
+  if (count > lanes_) claim_rest(count);
+  const int64_t m = std::min<int64_t>(count, lanes_);
+  // A parked lane takes tens of microseconds to wake: rather than wait,
+  // run the items of lanes that have not started.
+  if (!spin_ || sleepers_.load() > 0) run_unstarted(gen, count, m);
+  await_lanes(gen, count, m);
 }
 
-void ThreadPool::worker_main() {
-  for (uint64_t seen = 0; await_job(seen);) {
-    seen = generation(word_.load(std::memory_order_acquire));
-    claim_items(seen);
+void ThreadPool::wake_lanes() {
+  std::lock_guard<std::mutex> lock(mu_);
+  cv_work_.notify_all();
+}
+
+void ThreadPool::run_unstarted(uint64_t gen, int64_t count, int64_t m) {
+  for (int64_t k = 1; k < m; ++k) {
+    Completion& c = done_[static_cast<size_t>(k)];
+    uint64_t claimed = c.claim.load(std::memory_order_relaxed);
+    if (claimed == gen || !c.claim.compare_exchange_strong(claimed, gen))
+      continue;
+    run_item(count, k, c);
+    c.gen.store(gen, std::memory_order_relaxed);
   }
 }
 
-// The word's low half is the highest unclaimed item, so it also counts
-// the items left, and claiming decrements it: whether anything is left is
-// decided by the word alone. The job's fields are read before the CAS; its
-// success proves they were this job's, since a job with an unclaimed item
-// cannot finish, and the next job's fields are written only after this
-// one finished.
-void ThreadPool::claim_items(uint64_t gen) {
-  uint64_t w = word_.load(std::memory_order_acquire);
-  for (;;) {
-    if (generation(w) != gen || (w & kItemMask) == 0) return;
-    int64_t item = static_cast<int64_t>(w & kItemMask);
-    Invoke invoke = invoke_.load(std::memory_order_relaxed);
-    const void* ctx = ctx_.load(std::memory_order_relaxed);
-    if (word_.compare_exchange_weak(w, w - 1, std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
-      run_item(invoke, ctx, item);
-      w = word_.load(std::memory_order_acquire);
+void ThreadPool::lane_main(int k) {
+  Completion& me = done_[static_cast<size_t>(k)];
+  for (uint64_t seen = 0;;) {
+    const uint64_t w = await_job(seen);
+    if (w == 0) return;
+    seen = generation(w);
+    const int64_t count = static_cast<int64_t>(w & kItemMask);
+    if (k >= count) continue;
+    // The caller may have run this item in the lane's stead, in this
+    // generation or, when `w` is stale, a later one. A claim still behind
+    // `seen` proves the job is still this one: it cannot finish before
+    // item k is claimed. The claim word is on a line of its own, which the
+    // caller touches only when it runs a late lane's item.
+    uint64_t claimed = me.claim.load(std::memory_order_relaxed);
+    if (claimed >= seen || !me.claim.compare_exchange_strong(claimed, seen))
+      continue;
+    run_item(count, k, me);
+    if (count > lanes_) claim_rest(count);
+    // Sequentially consistent, against caller_parked_: either the caller
+    // sees this item done or this lane sees the caller parked.
+    me.gen.store(seen);
+    if (caller_parked_.load()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      cv_done_.notify_one();
     }
   }
 }
 
-void ThreadPool::run_item(Invoke invoke, const void* ctx, int64_t item) {
+void ThreadPool::run_item(int64_t count, int64_t item, Completion& c) {
   try {
-    invoke(ctx, item);
+    job_.invoke(job_, count, item, c.report);
+    c.failed = false;
   } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!error_) error_ = std::current_exception();
-  }
-  if (pending_.fetch_sub(1) == 1 && caller_parked_.load()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    cv_done_.notify_one();
+    c.failed = true;
+    keep_error();
   }
 }
 
-// The parking handshakes below pair a sequentially consistent store on one
-// side with a load on the other (sleepers_ against word_, caller_parked_
-// against pending_), so either the waiter sees the news or the notifier
-// sees the waiter; the notifier then takes the mutex, which the waiter
-// holds until it is inside wait().
-bool ThreadPool::await_job(uint64_t seen) {
+// Items past the lanes carry no report; a throw is kept like any other.
+void ThreadPool::claim_rest(int64_t count) {
+  for (;;) {
+    const int64_t i = next_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= count) return;
+    try {
+      job_.invoke(job_, count, i, nullptr);
+    } catch (...) {
+      keep_error();
+    }
+  }
+}
+
+void ThreadPool::keep_error() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!error_) error_ = std::current_exception();
+}
+
+// The parking handshakes pair a sequentially consistent write on one side
+// with a load on the other (sleepers_ against the job word, which run()
+// fences, and caller_parked_ against the completion lines), so either the
+// waiter sees the news or the notifier sees the waiter; the notifier then
+// takes the mutex, which the waiter holds until it is inside wait().
+uint64_t ThreadPool::await_job(uint64_t seen) {
+  uint64_t w = 0;
   auto ready = [&] {
-    return shutdown_.load() || generation(word_.load()) != seen;
+    w = job_.word.load();
+    return shutdown_.load() || generation(w) != seen;
   };
-  if (!spin_ || !spin_until(ready)) {
+  if (!spin_ || !spin_until(ready, kSpinBudget)) {
     std::unique_lock<std::mutex> lock(mu_);
     sleepers_.fetch_add(1);
     cv_work_.wait(lock, ready);
     sleepers_.fetch_sub(1);
   }
-  return !shutdown_.load();
+  return shutdown_.load() ? 0 : w;
 }
 
-void ThreadPool::await_done() {
-  auto done = [&] { return pending_.load() == 0; };
-  if (spin_ && spin_until(done)) return;
+// One pass over every participating lane's completion line, so the caller
+// waits on all of them at once rather than one after another.
+bool ThreadPool::lanes_done(uint64_t gen, int64_t m) const {
+  bool all = true;
+  for (int64_t k = 1; k < m; ++k)
+    all &= done_[static_cast<size_t>(k)].gen.load() == gen;
+  return all;
+}
+
+void ThreadPool::await_lanes(uint64_t gen, int64_t count, int64_t m) {
+  auto done = [&] { return lanes_done(gen, m); };
+  if (spin_) {
+    if (spin_until(done, kStealAfter)) return;
+    // A spinning lane starts within a microsecond; one that has not
+    // started by now was descheduled or has just parked.
+    run_unstarted(gen, count, m);
+    if (spin_until(done, kSpinBudget)) return;
+  }
   std::unique_lock<std::mutex> lock(mu_);
   caller_parked_.store(true);
   cv_done_.wait(lock, done);
   caller_parked_.store(false);
+}
+
+void ThreadPool::rethrow_error() {
+  std::exception_ptr error = std::exchange(error_, nullptr);
+  if (error) std::rethrow_exception(error);
 }
 
 namespace {

@@ -24,6 +24,7 @@
 
 #include "driver/pipeline.h"
 #include "fir/unparse.h"
+#include "interp/bytecode.h"
 #include "interp/interp.h"
 #include "par/parallelizer.h"
 #include "suite/suite.h"
@@ -385,6 +386,122 @@ TEST(VmDifferential, LocalsAreFreshOnEveryCall) {
   }
 }
 
+// Literals live in reserved registers (bc::kConstRegs per unit), loaded
+// when a frame is bound to the unit; the tests below aim at the ways a
+// shared constant register could leak a value.
+
+// The instructions of `op` in every code stream of `cu`.
+int count_op(const bc::CompiledUnit& cu, bc::Op op) {
+  int n = 0;
+  for (const auto* code : {&cu.prologue, &cu.code, &cu.lane_code})
+    for (const bc::Insn& i : *code) n += i.op == op;
+  return n;
+}
+
+TEST(VmDifferential, IntegerAndRealLiteralsStayDistinct) {
+  // 1 and 1.0 have the same bits but not the same tag, so they must not
+  // share a register: J + 1 stays INTEGER (and J + 1 / 2 truncates), while
+  // J + 1.0 is REAL.
+  auto p = parse_ok(R"(
+      PROGRAM T
+      COMMON /C/ A, B, C, D, E
+      J = 4
+      A = (J + 1) / 2
+      B = (J + 1.0) / 2
+      C = J * 1 + J * 1.0
+      D = -0.0
+      E = 0.0
+      WRITE(*,*) (J + 1) / 2, (J + 1.0) / 2, J * 1, J * 1.0, 1 / D, 1 / E
+      END
+)");
+  RunResult b = run_both(*p);
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(b.output, "2 2.500000 4 4.000000 -inf inf\n");
+  bc::Module m = bc::compile(*p);
+  const bc::CompiledUnit& cu = m.units[0];
+  int ints = 0, reals = 0;
+  for (const RtVal& v : cu.const_regs)
+    if (v.v == 1.0) (v.is_int ? ints : reals)++;
+  EXPECT_EQ(ints, 1);
+  EXPECT_EQ(reals, 1);
+}
+
+TEST(VmDifferential, CalleeWritingAByValueLiteralLeavesTheConstant) {
+  // A literal actual is passed by value: the callee's formal is a cell of
+  // its own, so writing it must not reach the caller's constant register,
+  // on the first call or on the reused frame of the next.
+  auto p = parse_ok(R"(
+      PROGRAM T
+      COMMON /C/ S, M
+      S = 0.0
+      DO K = 1, 3
+        CALL SET(5, 2.5)
+        S = S + 5 + 2.5 + M
+        CALL SET(5, 2.5)
+      ENDDO
+      WRITE(*,*) S, M, 5 + K, 2.5 * K
+      END
+      SUBROUTINE SET(N, X)
+      COMMON /C/ S, M
+      M = M + N
+      N = 99
+      X = -1.0
+      END
+)");
+  RunResult b = run_both(*p);
+  ASSERT_TRUE(b.ok) << b.error;
+  EXPECT_EQ(b.output, "67.500000 30 8 7.500000\n");
+}
+
+TEST(VmDifferential, LiteralsPastTheReserveFallBackToLoadConst) {
+  // One unit with more distinct literals than the reserve: the first
+  // kConstRegs get registers, the rest are loaded where they are used.
+  const int n = bc::kConstRegs + 9;
+  std::string src = "      PROGRAM T\n      COMMON /C/ S\n      S = 0.0\n";
+  for (int i = 1; i <= n; ++i) {
+    src += "      S = S + ";
+    src += std::to_string(i);
+    src += ".25\n";
+  }
+  src += "      DO I = 1, 3\n        S = S + I * 1.25\n      ENDDO\n";
+  src += "      WRITE(*,*) S\n      END\n";
+  auto p = parse_ok(src);
+  RunResult b = run_both(*p);
+  ASSERT_TRUE(b.ok) << b.error;
+  bc::Module m = bc::compile(*p);
+  const bc::CompiledUnit& cu = m.units[0];
+  EXPECT_EQ(cu.const_regs.size(), static_cast<size_t>(bc::kConstRegs));
+  // 0.0 and the first kConstRegs - 1 of the n sums' literals filled the
+  // reserve, so each later literal needs a LoadConst, and so do the DO
+  // loop's counter, bound and step.
+  EXPECT_EQ(count_op(cu, bc::Op::LoadConst), n - (bc::kConstRegs - 1) + 3);
+  EXPECT_GE(cu.num_regs, bc::kConstRegs);
+}
+
+TEST(VmDifferential, OnlyRunningValuesLoadConstants) {
+  // Within the reserve, a literal costs no instruction: LoadConst is left
+  // for a DO counter's start and a MIN/MAX accumulator's seed.
+  auto p = parse_ok(R"(
+      PROGRAM T
+      COMMON /C/ S
+      S = 2.0 * S + 3.0
+      IF (S .GT. 1.0) S = S - 1.0
+      DO I = 1, 10, 2
+        S = S + MAX(1.5, S * 0.5)
+      ENDDO
+      CALL SUB(S, 4.0)
+      END
+      SUBROUTINE SUB(X, Y)
+      X = X + Y * 2.0
+      END
+)");
+  RunResult b = run_both(*p);
+  ASSERT_TRUE(b.ok) << b.error;
+  bc::Module m = bc::compile(*p);
+  EXPECT_EQ(count_op(m.units[0], bc::Op::LoadConst), 2);
+  EXPECT_EQ(count_op(m.units[1], bc::Op::LoadConst), 0);
+}
+
 // ---------------------------------------------------------------------------
 // Parallel regions: privatization, reductions, nested serialization.
 // ---------------------------------------------------------------------------
@@ -594,6 +711,53 @@ TEST(VmParallel, LaneCountersAreExactAtEveryLaneCount) {
         EXPECT_EQ(b.output, two.output) << label << " t" << threads;
       }
     }
+  }
+}
+
+TEST(VmParallel, AlternatingUnitsOnOneLaneSeeTheirOwnConstants) {
+  // Regions of two units alternate, so every lane runs each unit's lane
+  // body in turn. Both units' first literals sit in the same registers, so
+  // a lane that kept the other unit's constants would compute with them.
+  auto p = parse_ok(R"(
+      PROGRAM T
+      COMMON /C/ A(12), B(12)
+      DO K = 1, 300
+        CALL FA(K)
+        CALL FB(K)
+      ENDDO
+      WRITE(*,*) A(1), A(6), A(12), B(1), B(7), B(12)
+      END
+      SUBROUTINE FA(K)
+      COMMON /C/ A(12), B(12)
+      DO I = 1, 12
+        A(I) = A(I) * 0.5 + I * 2.0 + 3
+      ENDDO
+      END
+      SUBROUTINE FB(K)
+      COMMON /C/ A(12), B(12)
+      DO I = 1, 12
+        B(I) = B(I) * 0.25 + I * 7.0 + 11 + A(I)
+      ENDDO
+      END
+)");
+  for (int u : {1, 2}) {
+    fir::Stmt* loop = test::find_loop(*p->units[static_cast<size_t>(u)], "I");
+    ASSERT_NE(loop, nullptr);
+    loop->omp.parallel = true;
+  }
+  // Both units keep their loop's bound and step in registers 0 and 1 and
+  // their first factor in register 2.
+  bc::Module m = bc::compile(*p);
+  ASSERT_GE(m.units[1].const_regs.size(), 3u);
+  ASSERT_GE(m.units[2].const_regs.size(), 3u);
+  EXPECT_EQ(m.units[1].const_regs[2].v, 0.5);
+  EXPECT_EQ(m.units[2].const_regs[2].v, 0.25);
+  for (int threads : {2, 3, 4}) {
+    std::string label = "t";
+    label += std::to_string(threads);
+    RunResult b = run_both(*p, threads, 2'000'000'000, label);
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_GT(b.statements_in_parallel, 0u);
   }
 }
 

@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <fstream>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "interp/storage.h"
 #include "support/thread_pool.h"
@@ -331,18 +334,181 @@ TEST(ThreadPool, DestroyedWhileWorkersParkOrSpin) {
 }
 
 TEST(ThreadPool, MoreLanesThanHardwareThreads) {
+  // Park mode: more lanes than cores, so the caller runs the items of
+  // lanes that have not started. No chunk may run twice or be lost, and
+  // every returned chunk is joined once.
   int hw = static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
   ThreadPool pool(hw + 3);
   ASSERT_EQ(pool.size(), hw + 3);
-  for (int round = 0; round < 200; ++round) {
+  for (int round = 0; round < 500; ++round) {
+    const int64_t n = 1 + round % (3 * pool.size());
+    std::vector<std::atomic<int>> hits(static_cast<size_t>(n) + 1);
     std::vector<std::atomic<int>> chunk_seen(static_cast<size_t>(hw + 3));
-    pool.parallel_for(1, 3 * pool.size(), [&](int64_t, int64_t, int idx) {
-      chunk_seen[static_cast<size_t>(idx)]++;
-    });
-    for (const auto& c : chunk_seen) ASSERT_EQ(c.load(), 1);
+    std::vector<int64_t> joined(static_cast<size_t>(hw + 3), 0);
+    pool.parallel_for(
+        1, n,
+        [&](int64_t lo, int64_t hi, int idx) {
+          chunk_seen[static_cast<size_t>(idx)]++;
+          for (int64_t i = lo; i <= hi; ++i) hits[static_cast<size_t>(i)]++;
+          return hi - lo + 1;
+        },
+        [&](int k, int64_t len) { joined[static_cast<size_t>(k)] += len; });
+    const int64_t chunks = std::min<int64_t>(n, pool.size());
+    for (int64_t k = 0; k < pool.size(); ++k)
+      ASSERT_EQ(chunk_seen[static_cast<size_t>(k)].load(), k < chunks ? 1 : 0);
+    for (int64_t i = 1; i <= n; ++i)
+      ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1) << "round " << round;
+    ASSERT_EQ(std::accumulate(joined.begin(), joined.end(), int64_t{0}), n);
     std::atomic<int64_t> sum{0};
     pool.for_each_index(50, [&](int64_t i, int) { sum += i; });
     ASSERT_EQ(sum.load(), 50 * 49 / 2);
+    if (round % 100 == 0) let_workers_park();
+  }
+}
+
+TEST(ThreadPool, ChunkKStaysOnLaneKWhileLanesSpin) {
+  // With spinning lanes, chunk k runs on pool lane k, so a lane's state
+  // stays in one core's cache. Only the caller may stand in for a lane
+  // that was descheduled (say by another process) when a region began;
+  // chunk k never moves to another lane's thread.
+  if (std::thread::hardware_concurrency() < 4)
+    GTEST_SKIP() << "lanes spin only when they fit in the host's cores";
+  constexpr int kLanes = 4, kRegions = 10000;
+  ThreadPool pool(kLanes);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran(static_cast<size_t>(kLanes));
+  std::vector<std::vector<std::thread::id>> seen(kLanes);
+  std::vector<int> on_lane(kLanes, 0);
+  for (int region = 0; region < kRegions; ++region) {
+    pool.parallel_for(1, 12, [&](int64_t, int64_t, int k) {
+      ran[static_cast<size_t>(k)] = std::this_thread::get_id();
+    });
+    for (int k = 0; k < kLanes; ++k) {
+      std::thread::id t = ran[static_cast<size_t>(k)];
+      if (t == caller) continue;
+      ++on_lane[static_cast<size_t>(k)];
+      auto& ids = seen[static_cast<size_t>(k)];
+      if (std::find(ids.begin(), ids.end(), t) == ids.end()) ids.push_back(t);
+    }
+  }
+  EXPECT_EQ(on_lane[0], 0) << "chunk 0 runs on the caller";
+  std::vector<std::thread::id> lanes;
+  for (int k = 1; k < kLanes; ++k) {
+    const auto& ids = seen[static_cast<size_t>(k)];
+    ASSERT_EQ(ids.size(), 1u) << "chunk " << k << " ran on " << ids.size()
+                              << " lane threads";
+    EXPECT_EQ(std::count(lanes.begin(), lanes.end(), ids[0]), 0)
+        << "chunks share a lane";
+    lanes.push_back(ids[0]);
+    EXPECT_GT(on_lane[static_cast<size_t>(k)], 0);
+  }
+}
+
+TEST(ThreadPool, LaneExceptionPropagatesAndPoolStaysUsable) {
+  ThreadPool pool(4);
+  for (int thrower = 1; thrower < 4; ++thrower) {
+    for (int round = 0; round < 200; ++round) {
+      std::vector<int> joined;
+      std::atomic<int> ran{0};
+      EXPECT_THROW(
+          pool.parallel_for(
+              1, 40,
+              [&](int64_t lo, int64_t, int k) {
+                ran++;
+                if (k == thrower) throw std::runtime_error("lane");
+                return lo;
+              },
+              [&](int k, int64_t) { joined.push_back(k); }),
+          std::runtime_error);
+      // Every chunk ran, and every chunk but the thrower's was joined.
+      ASSERT_EQ(ran.load(), 4);
+      std::vector<int> expect;
+      for (int k = 0; k < 4; ++k)
+        if (k != thrower) expect.push_back(k);
+      ASSERT_EQ(joined, expect);
+      if (round % 50 == 0) let_workers_park();
+    }
+    expect_each_iteration_once(pool, 100);
+  }
+}
+
+TEST(ThreadPool, ChunkReportsComeBackInChunkOrder) {
+  // Each chunk's report travels on its lane's completion line; the caller
+  // joins them in chunk order, so per-chunk partials combine in the same
+  // order at every lane count.
+  for (int lanes : {2, 3, 4}) {
+    ThreadPool pool(lanes);
+    struct Report {
+      int64_t lo, hi;
+      double sum;
+    };
+    for (int64_t n : {2, 3, 7, 12, 30}) {
+      std::vector<Report> got;
+      pool.parallel_for(
+          1, n,
+          [](int64_t lo, int64_t hi, int) {
+            double s = 0;
+            for (int64_t i = lo; i <= hi; ++i) s += static_cast<double>(i);
+            return Report{lo, hi, s};
+          },
+          [&](int k, const Report& r) {
+            EXPECT_EQ(k, static_cast<int>(got.size()));
+            got.push_back(r);
+          });
+      ASSERT_EQ(static_cast<int64_t>(got.size()), std::min<int64_t>(lanes, n));
+      int64_t expect = 1;
+      double total = 0;
+      for (const Report& r : got) {
+        EXPECT_EQ(r.lo, expect);
+        expect = r.hi + 1;
+        total += r.sum;
+      }
+      EXPECT_EQ(expect, n + 1);
+      EXPECT_EQ(total, static_cast<double>(n * (n + 1) / 2));
+    }
+  }
+}
+
+TEST(ThreadPool, LargeClosureTravelsByPointer) {
+  // A callable too big for the job line is reached through a pointer; it
+  // must behave exactly like an inline one.
+  ThreadPool pool(4);
+  std::array<int64_t, 8> offsets{1, 2, 3, 4, 5, 6, 7, 8};
+  std::vector<std::atomic<int64_t>> sums(4);
+  auto big = [offsets, &sums](int64_t lo, int64_t hi, int k) {
+    for (int64_t i = lo; i <= hi; ++i)
+      sums[static_cast<size_t>(k)] += i + offsets[static_cast<size_t>(k)];
+  };
+  static_assert(!ThreadPool::carries_inline<decltype(big)>);
+  for (int round = 0; round < 100; ++round) {
+    for (auto& s : sums) s = 0;
+    pool.parallel_for(1, 8, big);
+    // Chunks of two iterations: k covers 2k+1 and 2k+2.
+    for (int k = 0; k < 4; ++k)
+      ASSERT_EQ(sums[static_cast<size_t>(k)].load(),
+                (2 * k + 1) + (2 * k + 2) + 2 * offsets[static_cast<size_t>(k)]);
+  }
+}
+
+TEST(ThreadPool, ForEachIndexPastTheLanesCoversEveryItem) {
+  // Items below size() belong to their lanes; the rest are claimed
+  // dynamically. Either way each runs exactly once, spinning or parked.
+  const int hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  for (int lanes : {2, 4, hw + 2}) {
+    ThreadPool pool(lanes);
+    for (int round = 0; round < 1000; ++round) {
+      const int64_t count = lanes + 1 + round % (4 * lanes);
+      std::vector<std::atomic<int>> hits(static_cast<size_t>(count));
+      pool.for_each_index(count, [&](int64_t i, int lane) {
+        EXPECT_EQ(lane, static_cast<int>(i));
+        hits[static_cast<size_t>(i)]++;
+      });
+      for (int64_t i = 0; i < count; ++i)
+        ASSERT_EQ(hits[static_cast<size_t>(i)].load(), 1)
+            << lanes << " lanes, round " << round;
+      if (round % 250 == 0) let_workers_park();
+    }
   }
 }
 
